@@ -1,20 +1,17 @@
 """1D harmonic oscillator with energy-dependent frequency: spectrum,
 thermodynamics and information measures under the modified scalar product."""
 
-from .errors import (DomainError, NonConvergence, NonPositiveEnergy,
-                     NotReached, UnsupportedMoment)
-from .information import (InfoMeasures, cramer_rao, entropy_density,
-                          fisher_closed, fisher_numeric, info_measures,
-                          moments, shannon_entropy)
-from .quadrature import IntegrationSpec, gaussian_moment, gaussian_window, integrate
+from .errors import DomainError, NonConvergence, NonPositiveEnergy, NotReached
+from .information import (cramer_rao, entropy_density, fisher_closed,
+                          fisher_numeric, moments, shannon_entropy)
+from .quadrature import IntegrationSpec, gaussian_window, integrate
 from .spectrum import (DensityMode, EnergyLevel, ModelParams, eigenvalue,
                        residual, saturation_index, saturation_limit,
                        spectrum_table)
 from .thermo import (ThermoPoint, partition_function,
                      reference_partition_function, specific_heat_curve)
-from .wavefunction import (WeightedDensity, density,
-                           density_gradient_sq_terms, hermite_fn,
+from .wavefunction import (density, density_gradient_sq_terms, hermite_fn,
                            norm_const_sq, perey_factor, psi, psi_prime,
-                           weight, weight_coefficient, weighted_density)
+                           weight, weight_coefficient)
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .information import (cramer_rao, fisher_closed, fisher_numeric, moments,
                           shannon_entropy)
 from .quadrature import IntegrationSpec, gaussian_window, integrate
 from .spectrum import (DensityMode, ModelParams, eigenvalue, residual,
-                       saturation_limit, spectrum_table)
+                       saturation_limit)
 from .thermo import specific_heat_curve
 from .wavefunction import density, perey_factor, psi, weight
 
@@ -63,6 +63,8 @@ class SweepSpec:
             )
         if not self.gamma_list:
             raise DomainError("gamma list is empty")
+        if not all(math.isfinite(g) for g in self.gamma_list):
+            raise DomainError(f"gamma must be finite, got {self.gamma_list}")
         if not self.permissive and any(g > 0 for g in self.gamma_list):
             raise DomainError("gamma > 0 requires --permissive")
         for name in ("beta_grid", "x_grid"):
@@ -273,32 +275,41 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
     res_err = norm_err = mom_err = cr_err = 0.0
     neg_interval = None
     for gamma in spec.gamma_list:
-        params = spec.params(gamma)
-        for n in range(spec.n_min, spec.n_max + 1):
-            level = eigenvalue(params, n)
-            res_err = max(res_err, abs(residual(params, n, level.energy))
-                          / (n + 0.5) ** 2)
-        if gamma > 0:
-            xs = np.asarray(spec.x_grid or tuple(np.linspace(-8.0, 8.0, 321)))
-            level = eigenvalue(params, spec.n_min)
-            rho = density(level, params, xs)
-            if np.any(rho < 0):
-                neg = xs[rho < 0]
-                neg_interval = (float(neg.min()), float(neg.max()))
-            continue
-        for n in range(spec.n_min, min(n_quad, spec.n_max) + 1):
-            level = eigenvalue(params, n)
-            window = gaussian_window(level.lam, n)
-            quad_spec = IntegrationSpec(abs_tol=1e-12, rel_tol=1e-11,
-                                        window=window)
-            norm, _ = integrate(lambda x: density(level, params, x), quad_spec)
-            norm_err = max(norm_err, abs(norm - 1.0))
-            x2_quad, _ = integrate(
-                lambda x: np.asarray(x) ** 2 * density(level, params, x),
-                quad_spec)
-            _, x2_closed, _ = moments(level, params)
-            mom_err = max(mom_err, abs(x2_quad - x2_closed))
-            cr_err = max(cr_err, 1.0 - cramer_rao(level, params))
+        try:
+            params = spec.params(gamma)
+            # positivity before the residual scan, which can stop this
+            # coupling at a level with no real eigenvalue
+            if gamma > 0:
+                xs = np.asarray(spec.x_grid
+                                or tuple(np.linspace(-8.0, 8.0, 321)))
+                level = eigenvalue(params, spec.n_min)
+                rho = density(level, params, xs)
+                if np.any(rho < 0):
+                    neg = xs[rho < 0]
+                    neg_interval = (float(neg.min()), float(neg.max()))
+            for n in range(spec.n_min, spec.n_max + 1):
+                level = eigenvalue(params, n)
+                res_err = max(res_err, abs(residual(params, n, level.energy))
+                              / (n + 0.5) ** 2)
+            if gamma > 0:
+                continue
+            for n in range(spec.n_min, min(n_quad, spec.n_max) + 1):
+                level = eigenvalue(params, n)
+                window = gaussian_window(level.lam, n)
+                quad_spec = IntegrationSpec(abs_tol=1e-12, rel_tol=1e-11,
+                                            window=window)
+                norm, _ = integrate(lambda x: density(level, params, x),
+                                    quad_spec)
+                norm_err = max(norm_err, abs(norm - 1.0))
+                x2_quad, _ = integrate(
+                    lambda x: np.asarray(x) ** 2 * density(level, params, x),
+                    quad_spec)
+                _, x2_closed, _ = moments(level, params)
+                mom_err = max(mom_err, abs(x2_quad - x2_closed))
+                cr_err = max(cr_err, 1.0 - cramer_rao(level, params))
+        except DomainError as exc:
+            ok = False
+            lines.append(f"CHECK domain: FAILED gamma={gamma:g}: {exc}")
 
     gate("residual", res_err, _RESIDUAL_TOL)
     gate("normalization", norm_err, _NORM_TOL)

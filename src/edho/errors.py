@@ -15,7 +15,3 @@ class NotReached(RuntimeError):
 
 class NonConvergence(RuntimeError):
     """The integrator exhausted its refinements without meeting tolerance."""
-
-
-class UnsupportedMoment(ValueError):
-    """Requested Gaussian moment power has no closed form here."""

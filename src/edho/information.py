@@ -10,9 +10,6 @@ of 1/f, so the two agree only up to that truncation (well under 1% for
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -25,22 +22,6 @@ from .wavefunction import (density, density_gradient_sq_terms,
 # the bound is saturated, so the integration error has to sit well below
 _FISHER_SPEC = dict(abs_tol=1e-12, rel_tol=1e-12, max_refinements=18)
 _ENTROPY_SPEC = dict(abs_tol=1e-12, rel_tol=1e-10, max_refinements=18)
-
-
-@dataclass(frozen=True)
-class InfoMeasures:
-    """Information-theoretic summary of one level at one coupling."""
-
-    n: int
-    gamma: float
-    nu: int
-    fisher_closed: float
-    fisher_numeric: float
-    mean_x: float
-    second_moment: float
-    variance: float
-    cramer_rao: float
-    shannon: float
 
 
 def fisher_closed(level: EnergyLevel, params: ModelParams) -> float:
@@ -131,20 +112,3 @@ def shannon_entropy(level: EnergyLevel, params: ModelParams,
     value, _ = integrate(lambda x: -entropy_density(level, params, x, floor), spec)
     return value
 
-
-def info_measures(level: EnergyLevel, params: ModelParams) -> InfoMeasures:
-    """All measures for one (n, gamma) in a single bundle."""
-    mean, second, variance = moments(level, params)
-    numeric = fisher_numeric(level, params)
-    return InfoMeasures(
-        n=level.n,
-        gamma=params.gamma,
-        nu=params.nu,
-        fisher_closed=fisher_closed(level, params),
-        fisher_numeric=numeric,
-        mean_x=mean,
-        second_moment=second,
-        variance=variance,
-        cramer_rao=numeric * variance,
-        shannon=shannon_entropy(level, params),
-    )

@@ -10,8 +10,6 @@ which stay O(1) and never overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -131,19 +129,3 @@ def density_gradient_sq_terms(level: EnergyLevel, params: ModelParams, x):
     fp = -2.0 * g * x
     return 4.0 * f * pp * pp, 4.0 * p * pp * fp, p * p * fp * fp / f
 
-
-@dataclass(frozen=True)
-class WeightedDensity:
-    """A level's density bundled with its norm constant and weight handle."""
-
-    level: EnergyLevel
-    norm_const_sq: float
-    weight: Callable
-
-
-def weighted_density(level: EnergyLevel, params: ModelParams) -> WeightedDensity:
-    return WeightedDensity(
-        level=level,
-        norm_const_sq=norm_const_sq(level, params),
-        weight=lambda x: weight(params, x, level),
-    )

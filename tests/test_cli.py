@@ -154,3 +154,19 @@ class TestMainEntry:
         assert code == 1
         assert "density_positivity: FAILED" in out
         assert "x in [" in out
+
+    @pytest.mark.parametrize("gammas", ["nan", "inf", "-0.5,-inf"])
+    def test_validate_non_finite_gamma_is_usage_error(self, gammas, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", f"--gamma={gammas}", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_validate_domain_error_is_failed_gate(self, tmp_path, capsys):
+        # nu=2 with gamma=0.1 has no real level at n=3
+        code = main(["validate", "--gamma=0.1", "--nu", "2", "--permissive",
+                     "--n-max", "3", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "CHECK domain: FAILED gamma=0.1" in out
+        assert "CHECK residual" in out
+        assert "density_positivity: FAILED" in out

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from edho import (IntegrationSpec, ModelParams, cramer_rao, density,
                   eigenvalue, entropy_density, fisher_closed, fisher_numeric,
-                  gaussian_window, info_measures, integrate, moments,
+                  gaussian_window, integrate, moments,
                   shannon_entropy)
 
 SWEEP_GAMMAS = (0.0, -0.1, -0.3, -0.5, -1.0)
@@ -164,6 +166,44 @@ class TestShannon:
         s_weak = shannon_entropy(eigenvalue(weak, 0), weak)
         assert abs(s_strong - s_weak) > 1e-2
 
+    # (-0.85, 22): one halving changes the sum by only 7e-11 while the
+    # error is still 1.6e-9, so it checks the stopping rule as well
+    @pytest.mark.parametrize("gamma,n", [(-0.6, 0), (-0.6, 10), (-0.2, 4),
+                                         (-0.2, 24), (-0.05, 1), (-0.05, 16),
+                                         (-0.85, 22), (-0.2, 200)])
+    def test_against_quad_split_at_hermite_zeros(self, gamma, n):
+        # independent route: scipy's adaptive quad on the pieces between
+        # the zeros of H_n, where rho ln rho has its x**2 ln x**2 kinks
+        params = ModelParams(gamma=gamma, nu=1)
+        level = eigenvalue(params, n)
+        a = math.sqrt(level.lam)
+        g = 0.5 * gamma
+        amp = a / (1.0 - g * (2 * n + 1) / (2.0 * level.lam))
+
+        up = [math.sqrt(2.0 / (k + 1)) for k in range(n)]
+        down = [math.sqrt(k / (k + 1)) for k in range(n)]
+
+        def integrand(x):
+            y = a * x
+            h_prev, h = 0.0, math.pi ** -0.25 * math.exp(-0.5 * y * y)
+            for u, d in zip(up, down):
+                h, h_prev = y * u * h - d * h_prev, h
+            r = amp * h * h * (1.0 - g * x * x)
+            return -r * math.log(r) if r > 1e-300 else 0.0
+
+        # rho is even: integrate over x >= 0 and double
+        off = np.sqrt(np.arange(1, n) / 2.0)
+        zeros = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        edge = math.sqrt(2 * n + 1) + 12.0
+        cuts = np.concatenate(([0.0], zeros[zeros > 0], [edge])) / a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning means no answer
+            oracle = 2.0 * math.fsum(
+                quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-12,
+                     limit=200)[0] for lo, hi in zip(cuts, cuts[1:]))
+        assert shannon_entropy(level, params) == pytest.approx(oracle,
+                                                               rel=1e-9)
+
     def test_floor_convention_stable(self):
         params = ModelParams(gamma=-0.5, nu=1)
         level = eigenvalue(params, 2)
@@ -200,15 +240,3 @@ class TestEntropyDensity:
         value, _ = integrate(lambda x: -entropy_density(level, params, x), spec)
         assert value == pytest.approx(shannon_entropy(level, params), abs=1e-9)
 
-
-def test_info_measures_bundle():
-    params = ModelParams(gamma=-0.1, nu=1)
-    level = eigenvalue(params, 2)
-    bundle = info_measures(level, params)
-    assert bundle.n == 2 and bundle.gamma == -0.1 and bundle.nu == 1
-    assert bundle.mean_x == 0.0
-    assert bundle.variance == bundle.second_moment
-    assert bundle.cramer_rao == pytest.approx(
-        bundle.fisher_numeric * bundle.variance, rel=1e-14)
-    assert bundle.fisher_closed == pytest.approx(bundle.fisher_numeric, rel=1e-2)
-    assert bundle.shannon > 0

@@ -3,41 +3,58 @@ import math
 import numpy as np
 import pytest
 
-from edho import (IntegrationSpec, NonConvergence, UnsupportedMoment,
-                  gaussian_moment, gaussian_window, integrate)
+from edho import IntegrationSpec, NonConvergence, gaussian_window, integrate
 from edho.wavefunction import hermite_fn
 
 
+def _gaussian_moment(n: int, k: int) -> float:
+    """Normalized moment: integral of exp(-y^2) y^k H_n(y)^2 dy over 2^n n! sqrt(pi).
+
+    Closed forms exist for k = 0, 2, 4 only.
+    """
+    if k == 0:
+        return 1.0
+    if k == 2:
+        return n + 0.5
+    if k == 4:
+        return 0.75 * (2.0 * n * n + 2.0 * n + 1.0)
+    raise ValueError(f"no closed form for k={k}; supported k: 0, 2, 4")
+
+
 def test_gaussian_integral():
-    value, err = integrate(lambda x: np.exp(-x * x))
+    value, err = integrate(lambda x: np.exp(-x * x),
+                           IntegrationSpec(window=gaussian_window(1.0, 0)))
     assert value == pytest.approx(math.sqrt(math.pi), abs=1e-10)
     assert err < 1e-8
 
 
 def test_weighted_hermite_integrals():
     # H_1 = 2y: integral of 4 y^4 exp(-y^2) is 3 sqrt(pi)
-    value, _ = integrate(lambda y: np.exp(-y * y) * y * y * (2 * y) ** 2)
+    value, _ = integrate(lambda y: np.exp(-y * y) * y * y * (2 * y) ** 2,
+                         IntegrationSpec(window=gaussian_window(1.0, 1)))
     assert value == pytest.approx(3 * math.sqrt(math.pi), rel=1e-10)
     # orthogonality normalization at n=2: 2^2 2! sqrt(pi)
-    value, _ = integrate(lambda y: np.exp(-y * y) * (4 * y * y - 2) ** 2)
+    value, _ = integrate(lambda y: np.exp(-y * y) * (4 * y * y - 2) ** 2,
+                         IntegrationSpec(window=gaussian_window(1.0, 2)))
     assert value == pytest.approx(8 * math.sqrt(math.pi), rel=1e-10)
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
 def test_moments_match_quadrature(k):
-    spec = IntegrationSpec(abs_tol=1e-13, rel_tol=1e-12, window=None)
     for n in range(0, 101, 10):
+        spec = IntegrationSpec(abs_tol=1e-13, rel_tol=1e-12,
+                               window=gaussian_window(1.0, n))
         # normalized Hermite functions keep the integrand O(1) at any n
         value, _ = integrate(lambda y: hermite_fn(n, y) ** 2 * y**k, spec)
-        assert value == pytest.approx(gaussian_moment(n, k), rel=1e-10)
+        assert value == pytest.approx(_gaussian_moment(n, k), rel=1e-10)
 
 
 def test_moment_closed_forms():
-    assert gaussian_moment(0, 2) == 0.5
-    assert gaussian_moment(3, 2) == 3.5
-    assert gaussian_moment(2, 4) == 9.75
-    with pytest.raises(UnsupportedMoment):
-        gaussian_moment(1, 6)
+    assert _gaussian_moment(0, 2) == 0.5
+    assert _gaussian_moment(3, 2) == 3.5
+    assert _gaussian_moment(2, 4) == 9.75
+    with pytest.raises(ValueError):
+        _gaussian_moment(1, 6)
 
 
 def test_odd_integrand_cancels():
@@ -63,11 +80,20 @@ def test_deterministic():
 
 
 def test_non_convergence_flagged():
-    # a kink off the grid nodes defeats Romberg at an unreachable tolerance
+    # a kink off the grid nodes caps the trapezoid rule at second order, so
+    # six halvings cannot reach the tolerance
     spec = IntegrationSpec(abs_tol=1e-300, rel_tol=1e-16, window=1.0,
                            max_refinements=6)
     with pytest.raises(NonConvergence):
         integrate(lambda x: np.abs(x - 0.123456), spec)
+
+
+def test_window_is_required():
+    with pytest.raises(TypeError):
+        IntegrationSpec()
+    for window in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            IntegrationSpec(window=window)
 
 
 def test_error_estimate_reported():

@@ -7,7 +7,7 @@ from scipy.special import eval_hermite
 from edho import (DensityMode, DomainError, IntegrationSpec, ModelParams,
                   density, density_gradient_sq_terms, eigenvalue,
                   gaussian_window, hermite_fn, integrate, norm_const_sq,
-                  perey_factor, psi, psi_prime, weight, weighted_density)
+                  perey_factor, psi, psi_prime, weight)
 
 
 def norm_spec(level):
@@ -150,14 +150,6 @@ class TestDensity:
             for n in (0, 4, 11):
                 level = eigenvalue(params, n)
                 assert np.all(density(level, params, x) >= 0)
-
-    def test_weighted_density_bundle(self):
-        params = ModelParams(gamma=-0.5, nu=1)
-        level = eigenvalue(params, 2)
-        bundle = weighted_density(level, params)
-        assert bundle.norm_const_sq > 0
-        assert bundle.weight(0.0) == 1.0
-        assert bundle.weight(2.0) == 1.0 + 0.25 * 4.0
 
 
 class TestGradientTerms:
