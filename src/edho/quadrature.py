@@ -4,10 +4,13 @@ The plain trapezoid rule on an explicit symmetric window [-L, L]; callers
 that know their Gaussian scale get L from ``gaussian_window``.  The
 integrands here decay like a Gaussian, so for the analytic ones (densities,
 moments, Fisher) the rule converges exponentially once the window covers
-the support.  The Shannon integrand rho ln rho is the exception: its kinks
-at the zeros of H_n slow the rule to about h**3.  The step is halved until
-the error estimate, taken from the changes successive halvings make to
-the sum, meets the tolerance; it is returned alongside the value.
+the support.  A kinked integrand, such as rho ln rho integrated directly
+with its x**2 ln x**2 kinks at the zeros of H_n, slows the rule to about
+h**3; the stopping rule guards such callers.  ``shannon_entropy`` avoids
+the kinks: it splits at the zeros and substitutes tanh-sinh on each piece,
+which hands this rule a smooth integrand.  The step is halved until the
+error estimate, taken from the changes successive halvings make to the
+sum, meets the tolerance; it is returned alongside the value.
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ class IntegrationSpec:
             raise ValueError("need at least 4 refinement levels")
 
 
-# rho ln rho has x**2 ln x**2 kinks at the zeros of H_n, where the rule's
-# error falls only about 8-fold per halving (like h**3), and erratically
+# at a kink like those of rho ln rho (x**2 ln x**2 at the zeros of H_n) the
+# rule's error falls only about 8-fold per halving (like h**3), and
+# erratically; this floor on the estimate serves callers that integrate a
+# kinked integrand directly (``shannon_entropy`` removes its kinks first)
 _KINK_RATE = 8.0
 
 

@@ -1,14 +1,16 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.special import roots_hermite
 
-from edho import (IntegrationSpec, ModelParams, cramer_rao, density,
-                  eigenvalue, entropy_density, fisher_closed, fisher_numeric,
-                  gaussian_window, integrate, moments,
+import edho.information
+from edho import (DensityMode, IntegrationSpec, ModelParams, cramer_rao,
+                  density, eigenvalue, entropy_density, fisher_closed,
+                  fisher_numeric, gaussian_window, integrate, moments,
                   shannon_entropy)
+from edho.information import _hermite_zeros
+from shannon_oracle import shannon_by_quad
 
 SWEEP_GAMMAS = (0.0, -0.1, -0.3, -0.5, -1.0)
 
@@ -166,43 +168,44 @@ class TestShannon:
         s_weak = shannon_entropy(eigenvalue(weak, 0), weak)
         assert abs(s_strong - s_weak) > 1e-2
 
-    # (-0.85, 22): one halving changes the sum by only 7e-11 while the
-    # error is still 1.6e-9, so it checks the stopping rule as well
-    @pytest.mark.parametrize("gamma,n", [(-0.6, 0), (-0.6, 10), (-0.2, 4),
-                                         (-0.2, 24), (-0.05, 1), (-0.05, 16),
-                                         (-0.85, 22), (-0.2, 200)])
-    def test_against_quad_split_at_hermite_zeros(self, gamma, n):
-        # independent route: scipy's adaptive quad on the pieces between
-        # the zeros of H_n, where rho ln rho has its x**2 ln x**2 kinks
-        params = ModelParams(gamma=gamma, nu=1)
+    # the nu = 1 rows keep their short ids
+    @pytest.mark.parametrize("gamma,n,nu,mode", [
+        *(pytest.param(gamma, n, 1, "paper", id=f"{gamma}-{n}")
+          for gamma, n in ((-0.6, 0), (-0.6, 10), (-0.2, 4), (-0.2, 24),
+                           (-0.05, 1), (-0.05, 16), (-0.85, 22), (-0.2, 200))),
+        (-0.01, 5, 2, "paper"), (-0.002, 30, 2, "nu-consistent")])
+    def test_against_quad_split_at_hermite_zeros(self, gamma, n, nu, mode):
+        params = ModelParams(gamma=gamma, nu=nu, density_mode=DensityMode(mode))
         level = eigenvalue(params, n)
-        a = math.sqrt(level.lam)
-        g = 0.5 * gamma
-        amp = a / (1.0 - g * (2 * n + 1) / (2.0 * level.lam))
+        assert shannon_entropy(level, params) == pytest.approx(
+            shannon_by_quad(level, params), rel=1e-12)
 
-        up = [math.sqrt(2.0 / (k + 1)) for k in range(n)]
-        down = [math.sqrt(k / (k + 1)) for k in range(n)]
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 101])
+    def test_hermite_zeros(self, n):
+        zeros = _hermite_zeros(n)
+        np.testing.assert_allclose(zeros, roots_hermite(n)[0], rtol=0,
+                                   atol=1e-13)
+        # the positive half by count: an odd order's middle zero is not 0
+        positive = zeros[(n + 1) // 2:]
+        assert len(positive) == n // 2
+        assert np.all(positive > 0)
 
-        def integrand(x):
-            y = a * x
-            h_prev, h = 0.0, math.pi ** -0.25 * math.exp(-0.5 * y * y)
-            for u, d in zip(up, down):
-                h, h_prev = y * u * h - d * h_prev, h
-            r = amp * h * h * (1.0 - g * x * x)
-            return -r * math.log(r) if r > 1e-300 else 0.0
+    @pytest.mark.parametrize("n,most", [(24, 8193), (200, 131073)])
+    def test_points_per_level(self, monkeypatch, n, most):
+        # splitting at the zeros keeps the integrand smooth; on the kinked
+        # integrand the trapezoid rule needed 131073 and 524289 points here
+        points = []
 
-        # rho is even: integrate over x >= 0 and double
-        off = np.sqrt(np.arange(1, n) / 2.0)
-        zeros = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-        edge = math.sqrt(2 * n + 1) + 12.0
-        cuts = np.concatenate(([0.0], zeros[zeros > 0], [edge])) / a
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning means no answer
-            oracle = 2.0 * math.fsum(
-                quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-12,
-                     limit=200)[0] for lo, hi in zip(cuts, cuts[1:]))
-        assert shannon_entropy(level, params) == pytest.approx(oracle,
-                                                               rel=1e-9)
+        def counting(integrand, spec):
+            def counted(t):
+                points.append(np.size(t))
+                return integrand(t)
+            return integrate(counted, spec)
+
+        monkeypatch.setattr(edho.information, "integrate", counting)
+        params = ModelParams(gamma=-0.5, nu=1)
+        shannon_entropy(eigenvalue(params, n), params)
+        assert 0 < sum(points) <= most
 
     def test_floor_convention_stable(self):
         params = ModelParams(gamma=-0.5, nu=1)

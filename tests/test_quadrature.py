@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from edho import IntegrationSpec, NonConvergence, gaussian_window, integrate
+from edho import (IntegrationSpec, ModelParams, NonConvergence, eigenvalue,
+                  entropy_density, gaussian_window, integrate)
 from edho.wavefunction import hermite_fn
+from shannon_oracle import shannon_by_quad
 
 
 def _gaussian_moment(n: int, k: int) -> float:
@@ -86,6 +88,19 @@ def test_non_convergence_flagged():
                            max_refinements=6)
     with pytest.raises(NonConvergence):
         integrate(lambda x: np.abs(x - 0.123456), spec)
+
+
+def test_kinked_integrand_stops_late_enough():
+    # rho ln rho has x**2 ln x**2 kinks at the zeros of H_n.  Here a
+    # halving changes the sum by only 2.4e-10 while it is still 1.6e-9
+    # (relative) off; the _KINK_RATE floor on the estimate must not let
+    # the rule stop there.
+    params = ModelParams(gamma=-0.85, nu=1)
+    level = eigenvalue(params, 22)
+    spec = IntegrationSpec(window=gaussian_window(level.lam, 22),
+                           rel_tol=1e-10, abs_tol=1e-12)
+    value, _ = integrate(lambda x: -entropy_density(level, params, x), spec)
+    assert value == pytest.approx(shannon_by_quad(level, params), rel=1e-9)
 
 
 def test_window_is_required():
