@@ -30,9 +30,6 @@ from .spectrum import (DensityMode, ModelParams, eigenvalue, residual,
 from .thermo import specific_heat_curve
 from .wavefunction import density, perey_factor, psi, weight
 
-OUTPUTS = ("spectrum", "thermo", "fisher", "cramer_rao", "shannon",
-           "density", "perey")
-
 _NORM_TOL = 1e-8
 _RESIDUAL_TOL = 1e-10
 _MOMENT_TOL = 1e-8
@@ -94,138 +91,114 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _spectrum_rows(spec: SweepSpec):
-    for gamma in spec.gamma_list:
-        params = None
-        try:
-            params = spec.params(gamma)
-            limit = saturation_limit(params) if gamma < 0 else None
-        except Exception as exc:
-            for n in range(spec.n_min, spec.n_max + 1):
-                yield (spec.nu, gamma, n, None, None, None,
-                       f"{type(exc).__name__}: {exc}")
-            continue
-        for n in range(spec.n_min, spec.n_max + 1):
-            try:
-                level = eigenvalue(params, n)
-                yield (spec.nu, gamma, n, level.energy, level.lam, limit, "")
-            except Exception as exc:
-                yield (spec.nu, gamma, n, None, None, limit,
-                       f"{type(exc).__name__}: {exc}")
+_DEFAULT_BETAS = tuple(np.linspace(0.1, 10.0, 50))
+_DEFAULT_XS = tuple(np.linspace(-6.0, 6.0, 241))
 
 
-def _thermo_rows(spec: SweepSpec):
-    betas = spec.beta_grid or tuple(np.linspace(0.1, 10.0, 50))
-    for gamma in spec.gamma_list:
-        try:
-            points = specific_heat_curve(spec.params(gamma), betas,
-                                         eps_sat=spec.eps_sat)
-        except Exception as exc:
-            for beta in betas:
-                yield (spec.nu, gamma, beta, None, None, None, None,
-                       f"{type(exc).__name__}: {exc}")
-            continue
-        for pt in points:
-            yield (spec.nu, gamma, pt.beta, pt.Z, pt.U, pt.Cv, pt.N_used, "")
+def _levels(spec: SweepSpec):
+    return range(spec.n_min, spec.n_max + 1)
 
 
-def _per_level_rows(spec: SweepSpec, compute):
-    for gamma in spec.gamma_list:
-        for n in range(spec.n_min, spec.n_max + 1):
-            try:
-                params = spec.params(gamma)
-                yield (spec.nu, gamma, n, *compute(params, n), "")
-            except Exception as exc:
-                yield (spec.nu, gamma, n, None,
-                       f"{type(exc).__name__}: {exc}")
+def _xs(spec: SweepSpec):
+    return spec.x_grid or _DEFAULT_XS
 
 
-def _fisher_rows(spec: SweepSpec):
-    for gamma in spec.gamma_list:
-        for n in range(spec.n_min, spec.n_max + 1):
-            try:
-                params = spec.params(gamma)
-                level = eigenvalue(params, n)
-                # the truncated closed form leaves its validity regime at
-                # strong coupling; report nan there instead of losing the row
-                try:
-                    closed = fisher_closed(level, params)
-                except DomainError:
-                    if spec.fisher_source == "closed":
-                        raise
-                    closed = math.nan
-                numeric = fisher_numeric(level, params)
-                chosen = closed if spec.fisher_source == "closed" else numeric
-                yield (spec.nu, gamma, n, closed, numeric, chosen, "")
-            except Exception as exc:
-                yield (spec.nu, gamma, n, None, None, None,
-                       f"{type(exc).__name__}: {exc}")
+# The four shapes of an output: (key columns after nu and gamma, the cells
+# of one coupling, the keys of a cell's points).  A cell is computed as a
+# whole and fails as a whole.
+_PER_LEVEL = (("n",), _levels, lambda spec, n: [(n,)])
+_LEVEL_X = (("n", "x"), _levels, lambda spec, n: [(n, x) for x in _xs(spec)])
+# one cell, the beta grid: the whole curve comes from one level set
+_PER_BETA = (("beta",), lambda spec: [spec.beta_grid or _DEFAULT_BETAS],
+             lambda spec, betas: [(b,) for b in betas])
+# perey_factor fails per x once gamma > 0, so each x is a cell of its own
+_PER_X = (("x",), _xs, lambda spec, x: [(x,)])
 
 
-def _cramer_rao_rows(spec: SweepSpec):
-    for gamma in spec.gamma_list:
-        for n in range(spec.n_min, spec.n_max + 1):
-            try:
-                params = spec.params(gamma)
-                level = eigenvalue(params, n)
-                product = cramer_rao(level, params, source=spec.fisher_source)
-                _, _, variance = moments(level, params)
-                yield (spec.nu, gamma, n, product / variance, variance,
-                       product, "")
-            except Exception as exc:
-                yield (spec.nu, gamma, n, None, None, None,
-                       f"{type(exc).__name__}: {exc}")
+# Each compute maps (spec, params, cell) to one tuple of values per point.
+# They reach eigenvalue, fisher_numeric, ... as module globals at call time,
+# so anything that rebinds those names here sees every call.
+
+def _spectrum(spec, params, n):
+    level = eigenvalue(params, n)
+    limit = saturation_limit(params) if params.gamma < 0 else None
+    return [(level.energy, level.lam, limit)]
 
 
-def _shannon_rows(spec: SweepSpec):
-    def compute(params, n):
-        level = eigenvalue(params, n)
-        return (shannon_entropy(level, params),)
-
-    yield from _per_level_rows(spec, compute)
+def _thermo(spec, params, betas):
+    curve = specific_heat_curve(params, betas, eps_sat=spec.eps_sat)
+    return [(pt.Z, pt.U, pt.Cv, pt.N_used) for pt in curve]
 
 
-def _density_rows(spec: SweepSpec):
-    xs = spec.x_grid or tuple(np.linspace(-6.0, 6.0, 241))
-    for gamma in spec.gamma_list:
-        for n in range(spec.n_min, spec.n_max + 1):
-            try:
-                params = spec.params(gamma)
-                level = eigenvalue(params, n)
-                rho = density(level, params, np.asarray(xs))
-                for x, r in zip(xs, rho):
-                    yield (spec.nu, gamma, n, x, float(r), "")
-            except Exception as exc:
-                for x in xs:
-                    yield (spec.nu, gamma, n, x, None,
-                           f"{type(exc).__name__}: {exc}")
+def _fisher(spec, params, n):
+    level = eigenvalue(params, n)
+    # the truncated closed form leaves its validity regime at strong
+    # coupling; report nan there instead of losing the row
+    try:
+        closed = fisher_closed(level, params)
+    except DomainError:
+        if spec.fisher_source == "closed":
+            raise
+        closed = math.nan
+    numeric = fisher_numeric(level, params)
+    chosen = closed if spec.fisher_source == "closed" else numeric
+    return [(closed, numeric, chosen)]
 
 
-def _perey_rows(spec: SweepSpec):
-    xs = spec.x_grid or tuple(np.linspace(-6.0, 6.0, 241))
-    for gamma in spec.gamma_list:
-        for x in xs:
-            try:
-                params = spec.params(gamma)
-                yield (spec.nu, gamma, x, perey_factor(params, x), "")
-            except Exception as exc:
-                yield (spec.nu, gamma, x, None,
-                       f"{type(exc).__name__}: {exc}")
+def _cramer_rao(spec, params, n):
+    level = eigenvalue(params, n)
+    product = cramer_rao(level, params, source=spec.fisher_source)
+    _, _, variance = moments(level, params)
+    return [(product / variance, variance, product)]
 
 
-_SCHEMAS = {
-    "spectrum": (["nu", "gamma", "n", "energy", "lambda",
-                  "saturation_limit", "error"], _spectrum_rows),
-    "thermo": (["nu", "gamma", "beta", "Z", "U", "Cv", "N_used", "error"],
-               _thermo_rows),
-    "fisher": (["nu", "gamma", "n", "fisher_closed", "fisher_numeric",
-                "fisher", "error"], _fisher_rows),
-    "cramer_rao": (["nu", "gamma", "n", "fisher", "variance", "product",
-                    "error"], _cramer_rao_rows),
-    "shannon": (["nu", "gamma", "n", "shannon", "error"], _shannon_rows),
-    "density": (["nu", "gamma", "n", "x", "rho", "error"], _density_rows),
-    "perey": (["nu", "gamma", "x", "perey", "error"], _perey_rows),
+def _shannon(spec, params, n):
+    return [(shannon_entropy(eigenvalue(params, n), params),)]
+
+
+def _density(spec, params, n):
+    rho = density(eigenvalue(params, n), params, np.asarray(_xs(spec)))
+    return [(float(r),) for r in rho]
+
+
+def _perey(spec, params, x):
+    return [(perey_factor(params, x),)]
+
+
+# output -> (shape, value columns, compute)
+_OUTPUTS = {
+    "spectrum": (_PER_LEVEL, ("energy", "lambda", "saturation_limit"),
+                 _spectrum),
+    "thermo": (_PER_BETA, ("Z", "U", "Cv", "N_used"), _thermo),
+    "fisher": (_PER_LEVEL, ("fisher_closed", "fisher_numeric", "fisher"),
+               _fisher),
+    "cramer_rao": (_PER_LEVEL, ("fisher", "variance", "product"),
+                   _cramer_rao),
+    "shannon": (_PER_LEVEL, ("shannon",), _shannon),
+    "density": (_LEVEL_X, ("rho",), _density),
+    "perey": (_PER_X, ("perey",), _perey),
 }
+
+
+def _rows(spec: SweepSpec, name: str, counts: dict):
+    """CSV rows of one output, counted into ``counts``; a cell that raises
+    gives one error row per point, with its keys and blank values."""
+    (_, cells, points), columns, compute = _OUTPUTS[name]
+    nu, blank = spec.nu, (None,) * len(columns)
+    for gamma in spec.gamma_list:
+        params = None  # built once per coupling, by its first cell
+        for cell in cells(spec):
+            keys, error = points(spec, cell), ""
+            try:
+                params = params or spec.params(gamma)
+                values = compute(spec, params, cell)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                values = [blank] * len(keys)
+                counts["error_rows"] += len(keys)
+            counts["rows"] += len(keys)
+            for key, vals in zip(keys, values):
+                yield (nu, gamma, *key, *vals, error)
 
 
 def run_sweep(spec: SweepSpec) -> dict[str, Path]:
@@ -233,11 +206,15 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
     t0 = time.perf_counter()
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = {}
+    written, per_output = {}, {}
     for name in spec.outputs:
-        header, rows = _SCHEMAS[name]
+        t_out = time.perf_counter()
+        (keys, _, _), columns, _ = _OUTPUTS[name]
+        counts = {"rows": 0, "error_rows": 0}
         path = out_dir / f"{name}.csv"
-        _write_csv(path, header, rows(spec))
+        _write_csv(path, ["nu", "gamma", *keys, *columns, "error"],
+                   _rows(spec, name, counts))
+        per_output[name] = {**counts, "wall_s": time.perf_counter() - t_out}
         written[name] = path
     manifest = {
         "tool": "edho",
@@ -251,6 +228,7 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
             "cramer_rao_slack": _CRAMER_RAO_SLACK,
         },
         "outputs": {k: str(v) for k, v in written.items()},
+        "per_output": per_output,
         "wall_time_s": time.perf_counter() - t0,
     }
     with (out_dir / "manifest.json").open("w") as fh:
@@ -364,71 +342,53 @@ def _parse_gammas(text: str) -> tuple:
             f"gamma list must be comma-separated floats, got {text!r}") from exc
 
 
-def _read_config(path: str) -> dict:
-    """Plain key = value lines; '#' starts a comment."""
-    values = {}
-    for raw in Path(path).read_text().splitlines():
+def _config_flags(path: str, parser) -> list[str]:
+    """The flags named by a config file's ``key = value`` lines; a key is a
+    flag name without its dashes (``n_max`` or ``n-max``), '#' a comment."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read config file {path!r}: {exc}")
+    flags = []
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise DomainError(f"bad config line: {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-_CONFIG_PARSERS = {
-    "nu": int,
-    "gamma": _parse_gammas,
-    "n_min": int,
-    "n_max": int,
-    "beta_grid": _parse_grid,
-    "x_grid": _parse_grid,
-    "eps_sat": float,
-    "density_mode": str,
-    "fisher_source": str,
-    "out": str,
-    "permissive": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-_DEFAULTS = {
-    "nu": 1,
-    "gamma": (-0.5,),
-    "n_min": 0,
-    "n_max": 20,
-    "beta_grid": (),
-    "x_grid": (),
-    "eps_sat": 1e-6,
-    "density_mode": "paper",
-    "fisher_source": "numeric",
-    "out": "edho-out",
-    "permissive": False,
-}
+        key, eq, value = line.partition("=")
+        if not eq:
+            parser.error(f"config line is not key = value: {raw!r}")
+        flag, value = "--" + key.strip().replace("_", "-"), value.strip()
+        if flag != "--permissive":
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+        elif value.lower() not in ("0", "false", "no"):
+            parser.error(f"config permissive must be yes or no, got {value!r}")
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--nu", type=int, choices=(1, 2), default=None)
-    common.add_argument("--gamma", type=_parse_gammas, default=None,
+    # unset flags stay out of the namespace, so SweepSpec's defaults apply
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--nu", type=int, choices=(1, 2))
+    common.add_argument("--gamma", dest="gamma_list", type=_parse_gammas,
                         metavar="G1,G2,...",
                         help="coupling list (use --gamma=-0.5,-1 form)")
-    common.add_argument("--n-min", type=int, default=None)
-    common.add_argument("--n-max", type=int, default=None)
-    common.add_argument("--beta-grid", type=_parse_grid, default=None,
+    common.add_argument("--n-min", type=int)
+    common.add_argument("--n-max", type=int)
+    common.add_argument("--beta-grid", type=_parse_grid,
                         metavar="START:STOP:COUNT")
-    common.add_argument("--x-grid", type=_parse_grid, default=None,
+    common.add_argument("--x-grid", type=_parse_grid,
                         metavar="START:STOP:COUNT")
-    common.add_argument("--eps-sat", type=float, default=None)
-    common.add_argument("--density-mode", choices=("paper", "nu-consistent"),
-                        default=None)
-    common.add_argument("--fisher-source", choices=("numeric", "closed"),
-                        default=None)
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--config", default=None,
+    common.add_argument("--eps-sat", type=float)
+    common.add_argument("--density-mode", choices=("paper", "nu-consistent"))
+    common.add_argument("--fisher-source", choices=("numeric", "closed"))
+    common.add_argument("--out", dest="out_dir", help="output directory")
+    common.add_argument("--config",
                         help="key = value config file; flags win on conflict")
-    common.add_argument("--permissive", action="store_const", const=True,
-                        default=None, help="allow gamma > 0 (exploratory)")
+    common.add_argument("--permissive", action="store_true",
+                        help="allow gamma > 0 (exploratory)")
 
     parser = argparse.ArgumentParser(
         prog="edho",
@@ -441,39 +401,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_spec(args, parser) -> SweepSpec:
-    config = _read_config(args.config) if args.config else {}
-    resolved = {}
-    for key, default in _DEFAULTS.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            resolved[key] = _CONFIG_PARSERS[key](config[key])
-        else:
-            resolved[key] = default
+    fields = {k: v for k, v in vars(args).items()
+              if k not in ("command", "config")}
     output = args.command.replace("-", "_")
+    if output in _OUTPUTS:
+        fields["outputs"] = (output,)
     try:
-        return SweepSpec(
-            nu=resolved["nu"],
-            gamma_list=tuple(resolved["gamma"]),
-            n_min=resolved["n_min"],
-            n_max=resolved["n_max"],
-            beta_grid=tuple(resolved["beta_grid"]),
-            x_grid=tuple(resolved["x_grid"]),
-            outputs=(output,) if output in OUTPUTS else OUTPUTS[:1],
-            eps_sat=resolved["eps_sat"],
-            density_mode=resolved["density_mode"],
-            fisher_source=resolved["fisher_source"],
-            permissive=resolved["permissive"],
-            out_dir=resolved["out"],
-        )
+        return SweepSpec(**fields)
     except DomainError as exc:
         parser.error(str(exc))
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if "config" in args:
+        # the config's flags go first, so the command line's win on conflict
+        args = parser.parse_args([argv[0], *_config_flags(args.config, parser),
+                                  *argv[1:]])
     spec = _resolve_spec(args, parser)
     if args.command == "validate":
         lines, ok = run_validation(spec)

@@ -54,6 +54,11 @@ class TestRunSweep:
         assert failed and good
         assert all(float(r["gamma"]) == 0.5 for r in failed)
         assert {float(r["gamma"]) for r in good} >= {-0.5}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        counts = manifest["per_output"]["spectrum"]
+        assert counts["rows"] == len(rows)
+        assert counts["error_rows"] == len(failed)
+        assert counts["wall_s"] >= 0
 
     def test_fisher_weight_free_row(self, tmp_path):
         spec = SweepSpec(gamma_list=(0.0,), n_max=4, outputs=("fisher",),
@@ -97,6 +102,77 @@ class TestRunSweep:
         assert all(v >= 1.0 for v in perey)
 
 
+# (argv, output, key columns after nu and gamma, number of error rows,
+#  whether a row must fail)
+ERROR_SWEEPS = {
+    # NotReached: the saturation search stops at its cap, once per beta
+    "thermo": (["thermo", "--gamma=-1e-5,-0.5", "--beta-grid", "0.5:5:4"],
+               "thermo", ["beta"], 4,
+               lambda r: float(r["gamma"]) == -1e-5),
+    # nu = 2, gamma = 0.1 has no real level above n = 2
+    "spectrum": (["spectrum", "--nu", "2", "--gamma=0.1,-0.5", "--permissive",
+                  "--n-max", "4"], "spectrum", ["n"], 2,
+                 lambda r: float(r["gamma"]) > 0 and int(r["n"]) >= 3),
+    "density": (["density", "--nu", "2", "--gamma=0.1", "--permissive",
+                 "--n-max", "4", "--x-grid=-2:2:5"], "density", ["n", "x"], 10,
+                lambda r: int(r["n"]) >= 3),
+    # the weight f = 1 - x^2/4 is negative only at |x| = 3
+    "perey": (["perey", "--gamma=0.5,-0.5", "--permissive", "--x-grid=-3:3:7"],
+              "perey", ["x"], 2,
+              lambda r: 1 - float(r["gamma"]) / 2 * float(r["x"]) ** 2 < 0),
+    "shannon": (["shannon", "--nu", "2", "--gamma=0.1", "--permissive",
+                 "--n-max", "4"], "shannon", ["n"], 2,
+                lambda r: int(r["n"]) >= 3),
+    # the closed source: fisher_numeric does not converge at gamma > 0 and
+    # would spend seconds per level before failing
+    "cramer_rao": (["cramer-rao", "--fisher-source", "closed", "--nu", "2",
+                    "--gamma=0.1", "--permissive", "--n-max", "4"],
+                   "cramer_rao", ["n"], 2, lambda r: int(r["n"]) >= 3),
+    # fisher always computes fisher_numeric, so only the levels that have
+    # no eigenvalue run here
+    "fisher-nu2": (["fisher", "--fisher-source", "closed", "--nu", "2",
+                    "--gamma=0.1", "--permissive", "--n-min", "3",
+                    "--n-max", "4"], "fisher", ["n"], 2, lambda r: True),
+    # the truncated closed form is invalid from n = 2 on at gamma = -0.8
+    "fisher-closed": (["fisher", "--gamma=-0.8", "--n-max", "6",
+                       "--fisher-source", "closed"], "fisher", ["n"], 5,
+                      lambda r: int(r["n"]) >= 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_SWEEPS))
+def test_error_rows_keep_keys_and_blank_values(case, tmp_path):
+    argv, name, keys, n_errors, must_fail = ERROR_SWEEPS[case]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{name}.csv", newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    key_cols = ["nu", "gamma", *keys]
+    assert header[:len(key_cols)] == key_cols and header[-1] == "error"
+    value_cols = header[len(key_cols):-1]
+    assert body and all(len(row) == len(header) for row in body)
+    rows = [dict(zip(header, row)) for row in body]
+    failed = [r for r in rows if r["error"]]
+    for r in rows:
+        assert all(r[k] for k in key_cols)
+        if r["error"]:
+            assert must_fail(r), r
+            assert all(r[v] == "" for v in value_cols), r
+        else:
+            assert not must_fail(r), r
+            assert r[value_cols[0]], r
+    assert len(failed) == n_errors
+    if name == "thermo":
+        assert all(r["error"].startswith("NotReached") for r in failed)
+        assert [float(r["beta"]) for r in failed] == [0.5, 2.0, 3.5, 5.0]
+    if name == "density":
+        for n in (3, 4):
+            assert [float(r["x"]) for r in failed if r["n"] == str(n)] == [
+                -2.0, -1.0, 0.0, 1.0, 2.0]
+    counts = json.loads((tmp_path / "manifest.json").read_text())[
+        "per_output"][name]
+    assert (counts["rows"], counts["error_rows"]) == (len(rows), len(failed))
+
+
 class TestSpecValidation:
     def test_empty_range_rejected(self):
         with pytest.raises(DomainError):
@@ -137,6 +213,44 @@ class TestMainEntry:
         rows = read_rows(tmp_path / "from-config" / "spectrum.csv")
         assert len(rows) == 8  # flag n_max=7 beats config n_max=3
         assert all(float(r["gamma"]) == -0.25 for r in rows)
+
+    @pytest.mark.parametrize("command, line", [
+        ("spectrum", "n_max = abc"),
+        ("spectrum", "gamma = -0.5,x"),
+        ("validate", "nu = 3"),
+        ("validate", "density_mode = bogus"),
+        ("fisher", "fisher_source = bogus"),
+        ("spectrum", "frequency = 3"),
+        ("spectrum", "n_max 3"),
+        ("spectrum", "permissive = maybe"),
+        ("spectrum", None),  # no config file at all
+    ])
+    def test_bad_config_is_usage_error(self, command, line, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        if line is not None:
+            cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("answer, code", [("yes", 0), ("no", 2)])
+    def test_config_permissive(self, answer, code, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"gamma = 0.5\nn-max = 2\npermissive = {answer}\n")
+        try:
+            result = main(["spectrum", "--config", str(cfg),
+                           "--out", str(tmp_path)])
+        except SystemExit as exc:
+            result = exc.code
+        assert result == code
+        if code == 0:
+            rows = read_rows(tmp_path / "spectrum.csv")
+            assert len(rows) == 3
+            assert all(float(r["gamma"]) == 0.5 and not r["error"]
+                       for r in rows)
 
     def test_validate_passes_on_default_grid(self, tmp_path, capsys):
         code = main(["validate", "--gamma=-0.5", "--n-max", "6",
