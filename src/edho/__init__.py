@@ -10,8 +10,7 @@ from .spectrum import (DensityMode, EnergyLevel, ModelParams, eigenvalue,
                        spectrum_table)
 from .thermo import (ThermoPoint, partition_function,
                      reference_partition_function, specific_heat_curve)
-from .wavefunction import (density, density_gradient_sq_terms, hermite_fn,
-                           norm_const_sq, perey_factor, psi, psi_prime,
-                           weight, weight_coefficient)
+from .wavefunction import (density, density_gradient_sq_terms, perey_factor,
+                           psi, psi_prime, weight, weight_coefficient)
 
 __version__ = "0.1.0"

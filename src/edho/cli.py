@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, NonConvergence
 from .information import (cramer_rao, fisher_closed, fisher_numeric, moments,
                           shannon_entropy)
 from .quadrature import IntegrationSpec, gaussian_window, integrate
@@ -132,17 +132,18 @@ def _thermo(spec, params, betas):
 
 def _fisher(spec, params, n):
     level = eigenvalue(params, n)
-    # the truncated closed form leaves its validity regime at strong
-    # coupling; report nan there instead of losing the row
-    try:
-        closed = fisher_closed(level, params)
-    except DomainError:
-        if spec.fisher_source == "closed":
-            raise
-        closed = math.nan
-    numeric = fisher_numeric(level, params)
-    chosen = closed if spec.fisher_source == "closed" else numeric
-    return [(closed, numeric, chosen)]
+    # the source not chosen reads nan where it fails (the truncated closed
+    # form at strong coupling, the integral once f vanishes in its window)
+    values = {}
+    for source, fisher in (("closed", fisher_closed),
+                           ("numeric", fisher_numeric)):
+        try:
+            values[source] = fisher(level, params)
+        except (DomainError, NonConvergence):
+            if spec.fisher_source == source:
+                raise
+            values[source] = math.nan
+    return [(values["closed"], values["numeric"], values[spec.fisher_source])]
 
 
 def _cramer_rao(spec, params, n):

@@ -50,11 +50,15 @@ def fisher_closed(level: EnergyLevel, params: ModelParams) -> float:
     return value
 
 
-def fisher_numeric(level: EnergyLevel, params: ModelParams,
-                   spec: IntegrationSpec | None = None) -> float:
+def fisher_numeric(level: EnergyLevel, params: ModelParams) -> float:
     """Quadrature of rho (d ln rho / dx)**2 with no truncation of 1/f."""
-    spec = spec or IntegrationSpec(window=gaussian_window(level.lam, level.n),
-                                   **_FISHER_SPEC)
+    window = gaussian_window(level.lam, level.n)
+    g = weight_coefficient(params, level)
+    # the 1/f term is not integrable across a zero of f = 1 - g x**2
+    if g > 0 and 1.0 / math.sqrt(g) < window:
+        raise DomainError(f"weight vanishes at |x| = {1.0 / math.sqrt(g):g}, "
+                          f"inside the Fisher window {window:g}")
+    spec = IntegrationSpec(window=window, **_FISHER_SPEC)
 
     def integrand(x):
         t1, t2, t3 = density_gradient_sq_terms(level, params, x)

@@ -123,32 +123,36 @@ def saturation_index(params: ModelParams, eps: float = 1e-6,
                      n_max: int = 10**6) -> int:
     """Smallest n whose relative deviation from the saturation limit is < eps.
 
-    The deviation (limit - E_n)/limit decreases monotonically in n, so the
-    threshold is located by exponential doubling plus bisection.
+    The deviation d = (limit - E_n)/limit falls with n and inverts exactly:
+    n + 1/2 = (1 - d)/(|gamma| sqrt(d)) for nu = 1, 2n + 1 = 2(1 - d)/
+    sqrt(|gamma| (2d - d**2)) for nu = 2.  The first n past the inverse at
+    d = eps is then checked by single steps; NotReached iff n > n_max.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     limit = saturation_limit(params)
+    a = abs(params.gamma)
 
     def deviation(n):
         return (limit - float(_energies(params, n))) / limit
 
-    if deviation(0) < eps:
-        return 0
-    lo, hi = 0, 1
-    while deviation(hi) >= eps:
-        lo, hi = hi, hi * 2
-        if lo >= n_max:
-            raise NotReached(
-                f"no n <= {n_max} within eps={eps} of the saturation limit"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if deviation(mid) < eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if params.nu == 1:
+        n_eps = (1.0 - eps) / math.sqrt(eps) / a - 0.5
+    else:
+        n_eps = ((1.0 - eps) / math.sqrt(2.0 * eps - eps * eps)
+                 / math.sqrt(a) - 0.5)
+    # the steps below move n by at most one, so an inverse past n_max + 1
+    # is past the cap (this also catches one that overflowed to inf)
+    if n_eps < n_max + 1:
+        n = max(math.floor(n_eps) + 1, 0)
+        while n > 0 and deviation(n - 1) < eps:
+            n -= 1
+        while deviation(n) >= eps:
+            n += 1
+        if n <= n_max:
+            return n
+    raise NotReached(f"no n <= {n_max} within eps={eps} of the "
+                     "saturation limit")
 
 
 def spectrum_table(params: ModelParams, n_max: int) -> list[EnergyLevel]:

@@ -17,12 +17,6 @@ from .errors import DomainError
 from .spectrum import DensityMode, EnergyLevel, ModelParams
 
 
-def hermite_fn(n: int, y):
-    """Normalized Hermite function h_n(y); scalar in, scalar out."""
-    hn, _ = hermite_fn_pair(n, y)
-    return hn
-
-
 def hermite_fn_pair(n: int, y):
     """(h_n(y), h_{n-1}(y)) by upward three-term recurrence.
 
@@ -79,31 +73,26 @@ def _brace(level: EnergyLevel, params: ModelParams) -> float:
     return b
 
 
-def norm_const_sq(level: EnergyLevel, params: ModelParams) -> float:
-    """Squared normalization constant under the modified scalar product.
-
-    sqrt(lam) / (2^n n! sqrt(pi)) / brace, evaluated in log space so large
-    n never overflows the factorial.
-    """
-    n = level.n
-    log_c2 = (0.5 * math.log(level.lam) - n * math.log(2.0)
-              - math.lgamma(n + 1) - 0.5 * math.log(math.pi))
-    return math.exp(log_c2) / _brace(level, params)
-
-
 def psi(level: EnergyLevel, params: ModelParams, x):
     """Normalized eigenfunction value(s) at x."""
-    scale = math.sqrt(math.sqrt(level.lam) / _brace(level, params))
-    return scale * hermite_fn(level.n, math.sqrt(level.lam) * np.asarray(x, dtype=float))
+    a = math.sqrt(level.lam)
+    scale = math.sqrt(a / _brace(level, params))
+    hn, _ = hermite_fn_pair(level.n, a * np.asarray(x, dtype=float))
+    return scale * hn
+
+
+def _psi_pair(level: EnergyLevel, params: ModelParams, x):
+    """(psi, psi') at x from one Hermite recurrence pass."""
+    a = math.sqrt(level.lam)
+    scale = math.sqrt(a / _brace(level, params))
+    y = a * np.asarray(x, dtype=float)
+    hn, hn1 = hermite_fn_pair(level.n, y)
+    return scale * hn, scale * a * (math.sqrt(2.0 * level.n) * hn1 - y * hn)
 
 
 def psi_prime(level: EnergyLevel, params: ModelParams, x):
     """Analytic derivative of ``psi`` with respect to x."""
-    a = math.sqrt(level.lam)
-    y = a * np.asarray(x, dtype=float)
-    hn, hn1 = hermite_fn_pair(level.n, y)
-    scale = math.sqrt(math.sqrt(level.lam) / _brace(level, params))
-    return scale * a * (math.sqrt(2.0 * level.n) * hn1 - y * hn)
+    return _psi_pair(level, params, x)[1]
 
 
 def density(level: EnergyLevel, params: ModelParams, x):
@@ -123,8 +112,7 @@ def density_gradient_sq_terms(level: EnergyLevel, params: ModelParams, x):
     """
     g = weight_coefficient(params, level)
     x = np.asarray(x, dtype=float)
-    p = psi(level, params, x)
-    pp = psi_prime(level, params, x)
+    p, pp = _psi_pair(level, params, x)
     f = 1.0 - g * x * x
     fp = -2.0 * g * x
     return 4.0 * f * pp * pp, 4.0 * p * pp * fp, p * p * fp * fp / f

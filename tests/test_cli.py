@@ -123,16 +123,16 @@ ERROR_SWEEPS = {
     "shannon": (["shannon", "--nu", "2", "--gamma=0.1", "--permissive",
                  "--n-max", "4"], "shannon", ["n"], 2,
                 lambda r: int(r["n"]) >= 3),
-    # the closed source: fisher_numeric does not converge at gamma > 0 and
-    # would spend seconds per level before failing
+    # the closed source: fisher_numeric refuses gamma > 0 here, since the
+    # weight f vanishes inside its window
     "cramer_rao": (["cramer-rao", "--fisher-source", "closed", "--nu", "2",
                     "--gamma=0.1", "--permissive", "--n-max", "4"],
                    "cramer_rao", ["n"], 2, lambda r: int(r["n"]) >= 3),
-    # fisher always computes fisher_numeric, so only the levels that have
-    # no eigenvalue run here
+    # fisher_numeric fails at every level, so its column reads nan and the
+    # closed rows survive; only the levels with no eigenvalue fail
     "fisher-nu2": (["fisher", "--fisher-source", "closed", "--nu", "2",
-                    "--gamma=0.1", "--permissive", "--n-min", "3",
-                    "--n-max", "4"], "fisher", ["n"], 2, lambda r: True),
+                    "--gamma=0.1", "--permissive", "--n-max", "4"], "fisher",
+                   ["n"], 2, lambda r: int(r["n"]) >= 3),
     # the truncated closed form is invalid from n = 2 on at gamma = -0.8
     "fisher-closed": (["fisher", "--gamma=-0.8", "--n-max", "6",
                        "--fisher-source", "closed"], "fisher", ["n"], 5,
@@ -164,6 +164,10 @@ def test_error_rows_keep_keys_and_blank_values(case, tmp_path):
     if name == "thermo":
         assert all(r["error"].startswith("NotReached") for r in failed)
         assert [float(r["beta"]) for r in failed] == [0.5, 2.0, 3.5, 5.0]
+    if case == "fisher-nu2":
+        for r in rows[:3]:
+            assert math.isnan(float(r["fisher_numeric"])), r
+            assert float(r["fisher"]) == float(r["fisher_closed"]) > 0, r
     if name == "density":
         for n in (3, 4):
             assert [float(r["x"]) for r in failed if r["n"] == str(n)] == [

@@ -5,10 +5,11 @@ import pytest
 from scipy.special import roots_hermite
 
 import edho.information
-from edho import (DensityMode, IntegrationSpec, ModelParams, cramer_rao,
-                  density, eigenvalue, entropy_density, fisher_closed,
-                  fisher_numeric, gaussian_window, integrate, moments,
-                  shannon_entropy)
+import edho.wavefunction
+from edho import (DensityMode, DomainError, IntegrationSpec, ModelParams,
+                  cramer_rao, density, eigenvalue, entropy_density,
+                  fisher_closed, fisher_numeric, gaussian_window, integrate,
+                  moments, shannon_entropy)
 from edho.information import _hermite_zeros
 from shannon_oracle import shannon_by_quad
 
@@ -79,6 +80,38 @@ class TestFisher:
                   for n in range(12)]
         peak = values.index(max(values))
         assert 0 < peak < len(values) - 1
+
+    def test_weight_zero_inside_window_is_domain_error(self):
+        # f = 1 - g x**2 vanishes at x = 1/sqrt(g) = 4.47, inside the
+        # window of 10.9, where the 1/f term is not integrable
+        params = ModelParams(gamma=0.1, nu=2, permissive=True)
+        with pytest.raises(DomainError):
+            fisher_numeric(eigenvalue(params, 0), params)
+        # a zero outside the window leaves the integral well defined
+        params = ModelParams(gamma=1e-4, nu=1, permissive=True)
+        assert 0 < fisher_numeric(eigenvalue(params, 0), params) < math.inf
+
+    def test_one_hermite_pass_per_abscissa(self, monkeypatch):
+        # psi and psi' come from one recurrence pass at each abscissa
+        hermite_points, quad_points = [], []
+        hermite_fn_pair = edho.wavefunction.hermite_fn_pair
+
+        def counting_hermite(n, y):
+            hermite_points.append(np.size(y))
+            return hermite_fn_pair(n, y)
+
+        def counting(integrand, spec):
+            def counted(x):
+                quad_points.append(np.size(x))
+                return integrand(x)
+            return integrate(counted, spec)
+
+        monkeypatch.setattr(edho.wavefunction, "hermite_fn_pair",
+                            counting_hermite)
+        monkeypatch.setattr(edho.information, "integrate", counting)
+        params = ModelParams(gamma=-0.5, nu=1)
+        fisher_numeric(eigenvalue(params, 10), params)
+        assert 0 < sum(hermite_points) == sum(quad_points)
 
 
 class TestMoments:

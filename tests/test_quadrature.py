@@ -5,7 +5,7 @@ import pytest
 
 from edho import (IntegrationSpec, ModelParams, NonConvergence, eigenvalue,
                   entropy_density, gaussian_window, integrate)
-from edho.wavefunction import hermite_fn
+from edho.wavefunction import hermite_fn_pair
 from shannon_oracle import shannon_by_quad
 
 
@@ -47,7 +47,8 @@ def test_moments_match_quadrature(k):
         spec = IntegrationSpec(abs_tol=1e-13, rel_tol=1e-12,
                                window=gaussian_window(1.0, n))
         # normalized Hermite functions keep the integrand O(1) at any n
-        value, _ = integrate(lambda y: hermite_fn(n, y) ** 2 * y**k, spec)
+        value, _ = integrate(lambda y: hermite_fn_pair(n, y)[0] ** 2 * y**k,
+                             spec)
         assert value == pytest.approx(_gaussian_moment(n, k), rel=1e-10)
 
 
@@ -67,9 +68,9 @@ def test_odd_integrand_cancels():
 
 def test_window_doubling_is_sound():
     base = gaussian_window(1.0, 5)
-    v1, _ = integrate(lambda y: hermite_fn(5, y) ** 2,
+    v1, _ = integrate(lambda y: hermite_fn_pair(5, y)[0] ** 2,
                       IntegrationSpec(abs_tol=1e-13, rel_tol=1e-13, window=base))
-    v2, _ = integrate(lambda y: hermite_fn(5, y) ** 2,
+    v2, _ = integrate(lambda y: hermite_fn_pair(5, y)[0] ** 2,
                       IntegrationSpec(abs_tol=1e-13, rel_tol=1e-13, window=2 * base))
     assert abs(v2 - v1) < 1e-12 * abs(v1)
 

@@ -84,6 +84,17 @@ def test_saturation_index_not_reached():
         saturation_index(ModelParams(gamma=-1e-5, nu=1), 1e-6, n_max=10**4)
 
 
+@pytest.mark.parametrize("nu,gamma,eps", [(1, -0.1, 1e-4), (1, -2.0, 1e-3),
+                                          (2, -0.3, 1e-5), (2, -1e-3, 0.2)])
+def test_saturation_index_cap_is_exact(nu, gamma, eps):
+    # NotReached exactly when n_sat > n_max
+    params = ModelParams(gamma=gamma, nu=nu)
+    n_sat = saturation_index(params, eps)
+    assert saturation_index(params, eps, n_max=n_sat) == n_sat
+    with pytest.raises(NotReached):
+        saturation_index(params, eps, n_max=n_sat - 1)
+
+
 def test_small_coupling_recovers_textbook():
     params = ModelParams(gamma=-1e-5, nu=1)
     for n in range(11):

@@ -6,8 +6,9 @@ from scipy.special import eval_hermite
 
 from edho import (DensityMode, DomainError, IntegrationSpec, ModelParams,
                   density, density_gradient_sq_terms, eigenvalue,
-                  gaussian_window, hermite_fn, integrate, norm_const_sq,
-                  perey_factor, psi, psi_prime, weight)
+                  gaussian_window, integrate, perey_factor, psi, psi_prime,
+                  weight)
+from edho.wavefunction import hermite_fn_pair
 
 
 def norm_spec(level):
@@ -17,13 +18,14 @@ def norm_spec(level):
 
 class TestHermite:
     def test_reference_values(self):
-        assert hermite_fn(0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14)
-        assert hermite_fn(1, 0.0) == 0.0
+        assert hermite_fn_pair(0, 0.0)[0] == pytest.approx(math.pi ** -0.25,
+                                                           rel=1e-14)
+        assert hermite_fn_pair(1, 0.0)[0] == 0.0
         y = 1.3
         h5 = (32 * y**5 - 160 * y**3 + 120 * y)
         expected = h5 * math.exp(-y * y / 2) / math.sqrt(
             2**5 * math.factorial(5) * math.sqrt(math.pi))
-        assert hermite_fn(5, y) == pytest.approx(expected, rel=1e-13)
+        assert hermite_fn_pair(5, y)[0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 7, 23, 60])
     def test_against_scipy(self, n):
@@ -31,19 +33,19 @@ class TestHermite:
         norm = math.exp(-0.5 * (n * math.log(2) + math.lgamma(n + 1)
                                 + 0.5 * math.log(math.pi)))
         expected = eval_hermite(n, y) * np.exp(-0.5 * y * y) * norm
-        np.testing.assert_allclose(hermite_fn(n, y), expected, rtol=1e-10,
-                                   atol=1e-12)
+        np.testing.assert_allclose(hermite_fn_pair(n, y)[0], expected,
+                                   rtol=1e-10, atol=1e-12)
 
     def test_recurrence(self):
         y = np.linspace(-5, 5, 11)
         for n in range(1, 40):
-            lhs = hermite_fn(n + 1, y)
-            rhs = (y * math.sqrt(2 / (n + 1)) * hermite_fn(n, y)
-                   - math.sqrt(n / (n + 1)) * hermite_fn(n - 1, y))
+            lhs = hermite_fn_pair(n + 1, y)[0]
+            rhs = (y * math.sqrt(2 / (n + 1)) * hermite_fn_pair(n, y)[0]
+                   - math.sqrt(n / (n + 1)) * hermite_fn_pair(n - 1, y)[0])
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-13)
 
     def test_no_overflow_large_order(self):
-        values = hermite_fn(1000, np.linspace(-40, 40, 81))
+        values = hermite_fn_pair(1000, np.linspace(-40, 40, 81))[0]
         assert np.all(np.isfinite(values))
 
 
@@ -51,7 +53,8 @@ class TestNormalization:
     def test_textbook_ground_state(self):
         params = ModelParams(gamma=0.0)
         level = eigenvalue(params, 0)
-        assert norm_const_sq(level, params) == pytest.approx(
+        # f(0) = 1, H_0 = 1, so rho(0) is exactly the squared constant
+        assert density(level, params, 0.0) == pytest.approx(
             1 / math.sqrt(math.pi), rel=1e-14)
 
     def test_first_case_constant(self):
@@ -59,7 +62,8 @@ class TestNormalization:
         level = eigenvalue(params, 0)
         lam = level.lam
         expected = math.sqrt(lam) / math.sqrt(math.pi) / (1 + 1 / (4 * lam))
-        assert norm_const_sq(level, params) == pytest.approx(expected, rel=1e-13)
+        assert density(level, params, 0.0) == pytest.approx(expected,
+                                                            rel=1e-13)
         assert level.lam == pytest.approx(0.7807764064044151, rel=1e-12)
 
     @pytest.mark.parametrize("nu", [1, 2])
@@ -121,11 +125,15 @@ class TestDensity:
             1 / math.sqrt(math.pi), rel=1e-13)
 
     def test_peak_equals_norm_constant(self):
-        params = ModelParams(gamma=-1.0, nu=1)
-        level = eigenvalue(params, 0)
-        # f(0) = 1, H_0 = 1, so rho(0) is exactly the squared constant
-        assert density(level, params, 0.0) == pytest.approx(
-            norm_const_sq(level, params), rel=1e-13)
+        for nu in (1, 2):
+            params = ModelParams(gamma=-1.0, nu=nu)
+            level = eigenvalue(params, 0)
+            lam = level.lam
+            # f(0) = 1, H_0 = 1, so rho(0) is exactly the squared constant
+            # sqrt(lam) / sqrt(pi) / brace, with brace = 1 + 1/(4 lam) at n = 0
+            assert density(level, params, 0.0) == pytest.approx(
+                math.sqrt(lam) / math.sqrt(math.pi) / (1 + 1 / (4 * lam)),
+                rel=1e-13)
 
     def test_far_tail_underflows_cleanly(self):
         params = ModelParams(gamma=-0.5, nu=1)
