@@ -24,7 +24,7 @@ from . import __version__
 from .errors import DomainError, NonConvergence
 from .information import (cramer_rao, fisher_closed, fisher_numeric, moments,
                           shannon_entropy)
-from .quadrature import IntegrationSpec, gaussian_window, integrate
+from .quadrature import gaussian_window, integrate
 from .spectrum import (DensityMode, ModelParams, eigenvalue, residual,
                        saturation_limit)
 from .thermo import specific_heat_curve
@@ -250,7 +250,10 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
         lines.append(f"CHECK {name}: max_err={max_err:.3e} tol={tol:.0e} "
                      f"{'PASS' if passed else 'FAILED'}")
 
-    n_quad = min(spec.n_max, 12)
+    # the quadrature gates take the first 13 levels of the range and its top
+    quad_levels = list(range(spec.n_min, min(spec.n_max, spec.n_min + 12) + 1))
+    if quad_levels[-1] < spec.n_max:
+        quad_levels.append(spec.n_max)
     res_err = norm_err = mom_err = cr_err = 0.0
     neg_interval = None
     for gamma in spec.gamma_list:
@@ -272,23 +275,22 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                               / (n + 0.5) ** 2)
             if gamma > 0:
                 continue
-            for n in range(spec.n_min, min(n_quad, spec.n_max) + 1):
+            for n in quad_levels:
                 level = eigenvalue(params, n)
                 window = gaussian_window(level.lam, n)
-                quad_spec = IntegrationSpec(abs_tol=1e-12, rel_tol=1e-11,
-                                            window=window)
                 norm, _ = integrate(lambda x: density(level, params, x),
-                                    quad_spec)
+                                    window, 1e-11)
                 norm_err = max(norm_err, abs(norm - 1.0))
                 x2_quad, _ = integrate(
                     lambda x: np.asarray(x) ** 2 * density(level, params, x),
-                    quad_spec)
+                    window, 1e-11)
                 _, x2_closed, _ = moments(level, params)
                 mom_err = max(mom_err, abs(x2_quad - x2_closed))
                 cr_err = max(cr_err, 1.0 - cramer_rao(level, params))
-        except DomainError as exc:
+        except (DomainError, NonConvergence) as exc:
             ok = False
-            lines.append(f"CHECK domain: FAILED gamma={gamma:g}: {exc}")
+            check = "domain" if isinstance(exc, DomainError) else "convergence"
+            lines.append(f"CHECK {check}: FAILED gamma={gamma:g}: {exc}")
 
     gate("residual", res_err, _RESIDUAL_TOL)
     gate("normalization", norm_err, _NORM_TOL)
@@ -320,8 +322,7 @@ def _orthogonality_report(spec: SweepSpec) -> str:
                 val, _ = integrate(
                     lambda x: (psi(lm, params, x) * psi(ln, params, x)
                                * weight(params, x, ln)),
-                    IntegrationSpec(abs_tol=1e-12, rel_tol=1e-10,
-                                    window=window))
+                    window, 1e-10)
                 worst = max(worst, abs(val))
     return f"REPORT orthogonality(modified product): max_overlap={worst:.3e}"
 

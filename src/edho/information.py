@@ -15,15 +15,16 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import IntegrationSpec, gaussian_window, integrate
+from .quadrature import gaussian_window, integrate
 from .spectrum import EnergyLevel, ModelParams
 from .wavefunction import (density, density_gradient_sq_terms,
                            weight_coefficient, _brace)
 
 # tight tolerances: the Cramer-Rao product must hold to 1e-10 even where
 # the bound is saturated, so the integration error has to sit well below
-_FISHER_SPEC = dict(abs_tol=1e-12, rel_tol=1e-12, max_refinements=18)
-_ENTROPY_SPEC = dict(abs_tol=1e-12, rel_tol=1e-10, max_refinements=18)
+_FISHER_REL_TOL = 1e-12
+_ENTROPY_REL_TOL = 1e-10
+_RHO_FLOOR = 1e-300  # rho ln rho is 0 at and below it (0 ln 0 = 0)
 # half-width of each tanh-sinh piece in the substitution variable: past
 # |tau| = 3 lies about 2e-14 of the piece width, at |tau| = 3 the Jacobian
 # is down to about 7e-13 of it
@@ -58,13 +59,12 @@ def fisher_numeric(level: EnergyLevel, params: ModelParams) -> float:
     if g > 0 and 1.0 / math.sqrt(g) < window:
         raise DomainError(f"weight vanishes at |x| = {1.0 / math.sqrt(g):g}, "
                           f"inside the Fisher window {window:g}")
-    spec = IntegrationSpec(window=window, **_FISHER_SPEC)
 
     def integrand(x):
         t1, t2, t3 = density_gradient_sq_terms(level, params, x)
         return t1 + t2 + t3
 
-    value, _ = integrate(integrand, spec)
+    value, _ = integrate(integrand, window, _FISHER_REL_TOL)
     return value
 
 
@@ -99,14 +99,13 @@ def cramer_rao(level: EnergyLevel, params: ModelParams,
     return fisher * variance
 
 
-def entropy_density(level: EnergyLevel, params: ModelParams, x,
-                    floor: float = 1e-300):
-    """Pointwise rho ln rho, with the 0 ln 0 = 0 convention below ``floor``."""
+def entropy_density(level: EnergyLevel, params: ModelParams, x):
+    """Pointwise rho ln rho, with the 0 ln 0 = 0 convention below _RHO_FLOOR."""
     rho = np.asarray(density(level, params, x), dtype=float)
     scalar = rho.ndim == 0
     rho = np.atleast_1d(rho)
     out = np.zeros_like(rho)
-    mask = rho > floor
+    mask = rho > _RHO_FLOOR
     out[mask] = rho[mask] * np.log(rho[mask])
     return float(out[0]) if scalar else out
 
@@ -123,8 +122,7 @@ def _hermite_zeros(n: int) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
 
 
-def shannon_entropy(level: EnergyLevel, params: ModelParams,
-                    floor: float = 1e-300) -> float:
+def shannon_entropy(level: EnergyLevel, params: ModelParams) -> float:
     """Position-space entropy -integral of rho ln rho (numeric only).
 
     rho ln rho has x**2 ln x**2 kinks at the zeros of H_n, which slow the
@@ -150,8 +148,7 @@ def shannon_entropy(level: EnergyLevel, params: ModelParams,
         u = 0.5 * math.pi * np.sinh(tau)
         x = lo[k] + 0.5 * width[k] * (1.0 + np.tanh(u))
         jac = 0.25 * math.pi * width[k] * np.cosh(tau) / np.cosh(u) ** 2
-        return -entropy_density(level, params, x, floor) * jac
+        return -entropy_density(level, params, x) * jac
 
-    spec = IntegrationSpec(window=pieces * half, **_ENTROPY_SPEC)
-    value, _ = integrate(integrand, spec)
+    value, _ = integrate(integrand, pieces * half, _ENTROPY_REL_TOL)
     return 2.0 * value

@@ -10,7 +10,7 @@ instead of growing linearly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -154,19 +154,3 @@ def saturation_index(params: ModelParams, eps: float = 1e-6,
     raise NotReached(f"no n <= {n_max} within eps={eps} of the "
                      "saturation limit")
 
-
-def spectrum_table(params: ModelParams, n_max: int) -> list[EnergyLevel]:
-    """Levels n = 0..n_max; strictly increasing and bounded for gamma < 0."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be non-negative, got {n_max}")
-    ns = np.arange(n_max + 1)
-    energies = _energies(params, ns)
-    if np.any(energies <= 0) or not np.all(np.isfinite(energies)):
-        raise NonPositiveEnergy(
-            f"non-positive energy in table for gamma={params.gamma}"
-        )
-    lams = energies / (ns + 0.5)
-    return [
-        EnergyLevel(n=int(n), energy=float(e), lam=float(l))
-        for n, e, l in zip(ns, energies, lams)
-    ]

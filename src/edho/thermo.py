@@ -41,41 +41,29 @@ def reference_partition_function(beta: float) -> ThermoPoint:
     return ThermoPoint(beta=beta, Z=z, U=u, Cv=cv, N_used=None)
 
 
-def _level_set(params: ModelParams, eps_sat: float, n_max: int) -> tuple[np.ndarray, int]:
-    n_sat = saturation_index(params, eps_sat, n_max=n_max)
-    energies = _energies(params, np.arange(n_sat + 1))
-    return np.append(energies, saturation_limit(params)), n_sat
+def _point(e0: float, d: np.ndarray, beta: float, n_used: int) -> ThermoPoint:
+    """Boltzmann moments over the levels E = e0 + d (d >= 0, d[0] = 0).
 
-
-def _point(energies: np.ndarray, beta: float, n_used: int) -> ThermoPoint:
-    e0 = energies[0]
-    w = np.exp(-beta * (energies - e0))
+    U comes from the offsets d and Cv from the two-pass variance
+    sum w (d - (U - e0))**2 / sum w, so neither cancels at low temperature,
+    where U - e0 is tiny.
+    """
+    w = np.exp(-beta * d)
     w_sum = float(w.sum())
     z = math.exp(-beta * e0) * w_sum
-    u = float((energies * w).sum() / w_sum)
-    e2 = float((energies * energies * w).sum() / w_sum)
-    cv = beta * beta * max(e2 - u * u, 0.0)
-    return ThermoPoint(beta=beta, Z=z, U=u, Cv=cv, N_used=n_used)
+    shift = float((w * d).sum() / w_sum)  # U - e0
+    cv = beta * beta * float((w * (d - shift) ** 2).sum() / w_sum)
+    return ThermoPoint(beta=beta, Z=z, U=e0 + shift, Cv=cv, N_used=n_used)
 
 
-def partition_function(params: ModelParams, beta: float, eps_sat: float = 1e-6,
-                       n_max: int = 10**6) -> ThermoPoint:
-    """Saturation-split partition function at inverse temperature beta.
+def specific_heat_curve(params: ModelParams, beta_grid,
+                        eps_sat: float = 1e-6) -> list[ThermoPoint]:
+    """Thermo points over a sorted, strictly positive beta grid.
 
-    gamma = 0 routes to the textbook reference.  The accumulation point
-    enters as exactly one pseudo-level.
+    gamma = 0 routes to the textbook reference.  Otherwise the levels are
+    0..n_sat (the saturation index at eps_sat) plus the accumulation point
+    as exactly one pseudo-level.
     """
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if params.gamma == 0:
-        return reference_partition_function(beta)
-    energies, n_sat = _level_set(params, eps_sat, n_max)
-    return _point(energies, beta, n_sat)
-
-
-def specific_heat_curve(params: ModelParams, beta_grid, eps_sat: float = 1e-6,
-                        n_max: int = 10**6) -> list[ThermoPoint]:
-    """Thermo points over a sorted, strictly positive beta grid."""
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0:
         raise DomainError("beta grid is empty")
@@ -83,5 +71,9 @@ def specific_heat_curve(params: ModelParams, beta_grid, eps_sat: float = 1e-6,
         raise DomainError("beta grid must be strictly positive and increasing")
     if params.gamma == 0:
         return [reference_partition_function(b) for b in beta_grid]
-    energies, n_sat = _level_set(params, eps_sat, n_max)
-    return [_point(energies, float(b), n_sat) for b in beta_grid]
+    n_sat = saturation_index(params, eps_sat)
+    energies = np.append(_energies(params, np.arange(n_sat + 1)),
+                         saturation_limit(params))
+    e0 = energies[0]
+    d = energies - e0
+    return [_point(e0, d, float(b), n_sat) for b in beta_grid]

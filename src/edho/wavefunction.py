@@ -50,12 +50,12 @@ def weight(params: ModelParams, x, level: EnergyLevel | None = None):
     return float(f) if f.ndim == 0 else f
 
 
-def perey_factor(params: ModelParams, x, level: EnergyLevel | None = None):
-    """sqrt(f(x)): the local-to-non-local wavefunction ratio.
+def perey_factor(params: ModelParams, x):
+    """sqrt(f(x)) with g = gamma/2: the local-to-non-local wavefunction ratio.
 
     >= 1 for gamma <= 0, with equality only at x = 0 (or gamma = 0).
     """
-    f = np.asarray(weight(params, x, level))
+    f = np.asarray(weight(params, x))
     if np.any(f < 0):
         raise DomainError("weight went negative (gamma > 0 regime)")
     out = np.sqrt(f)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import edho.cli
 from edho.cli import SweepSpec, main, run_sweep, run_validation
 from edho.errors import DomainError
+from edho.information import moments
 
 
 def read_rows(path):
@@ -288,3 +290,26 @@ class TestMainEntry:
         assert "CHECK domain: FAILED gamma=0.1" in out
         assert "CHECK residual" in out
         assert "density_positivity: FAILED" in out
+
+    def test_validate_non_convergence_is_failed_gate(self, tmp_path, capsys):
+        # the Fisher integral at gamma = -1e6, n = 0 never meets 1e-12
+        code = main(["validate", "--gamma=-1e6,-0.5", "--n-max", "0",
+                     "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "CHECK convergence: FAILED gamma=-1e+06" in out
+        assert "gamma=-0.5" not in out
+        assert "CHECK cramer_rao_bound" in out
+
+    def test_validate_gates_range_start_and_top(self, monkeypatch):
+        gated = []
+
+        def recording(level, params):
+            gated.append(level.n)
+            return moments(level, params)
+
+        monkeypatch.setattr(edho.cli, "moments", recording)
+        spec = SweepSpec(gamma_list=(-0.5,), n_min=20, n_max=40)
+        _, ok = run_validation(spec)
+        assert ok
+        assert gated == [*range(20, 33), 40]

@@ -6,10 +6,9 @@ from scipy.special import roots_hermite
 
 import edho.information
 import edho.wavefunction
-from edho import (DensityMode, DomainError, IntegrationSpec, ModelParams,
-                  cramer_rao, density, eigenvalue, entropy_density,
-                  fisher_closed, fisher_numeric, gaussian_window, integrate,
-                  moments, shannon_entropy)
+from edho import (DensityMode, DomainError, ModelParams, cramer_rao, density,
+                  eigenvalue, entropy_density, fisher_closed, fisher_numeric,
+                  gaussian_window, integrate, moments, shannon_entropy)
 from edho.information import _hermite_zeros
 from shannon_oracle import shannon_by_quad
 
@@ -100,11 +99,11 @@ class TestFisher:
             hermite_points.append(np.size(y))
             return hermite_fn_pair(n, y)
 
-        def counting(integrand, spec):
+        def counting(integrand, window, rel_tol):
             def counted(x):
                 quad_points.append(np.size(x))
                 return integrand(x)
-            return integrate(counted, spec)
+            return integrate(counted, window, rel_tol)
 
         monkeypatch.setattr(edho.wavefunction, "hermite_fn_pair",
                             counting_hermite)
@@ -125,10 +124,9 @@ class TestMoments:
     def test_second_moment_matches_quadrature(self, nu, gamma, n):
         params = ModelParams(gamma=gamma, nu=nu)
         level = eigenvalue(params, n)
-        spec = IntegrationSpec(abs_tol=1e-13, rel_tol=1e-12,
-                               window=gaussian_window(level.lam, n))
         quad, _ = integrate(
-            lambda x: np.asarray(x) ** 2 * density(level, params, x), spec)
+            lambda x: np.asarray(x) ** 2 * density(level, params, x),
+            gaussian_window(level.lam, n), 1e-12)
         _, second, variance = moments(level, params)
         assert second == pytest.approx(quad, abs=1e-8)
         assert variance == second
@@ -136,9 +134,9 @@ class TestMoments:
     def test_mean_vanishes_by_quadrature(self):
         params = ModelParams(gamma=-0.5, nu=1)
         level = eigenvalue(params, 2)
-        spec = IntegrationSpec(window=gaussian_window(level.lam, 2))
         mean, _ = integrate(
-            lambda x: np.asarray(x) * density(level, params, x), spec)
+            lambda x: np.asarray(x) * density(level, params, x),
+            gaussian_window(level.lam, 2), 1e-8)
         assert abs(mean) < 1e-12
 
 
@@ -229,22 +227,23 @@ class TestShannon:
         # integrand the trapezoid rule needed 131073 and 524289 points here
         points = []
 
-        def counting(integrand, spec):
+        def counting(integrand, window, rel_tol):
             def counted(t):
                 points.append(np.size(t))
                 return integrand(t)
-            return integrate(counted, spec)
+            return integrate(counted, window, rel_tol)
 
         monkeypatch.setattr(edho.information, "integrate", counting)
         params = ModelParams(gamma=-0.5, nu=1)
         shannon_entropy(eigenvalue(params, n), params)
         assert 0 < sum(points) <= most
 
-    def test_floor_convention_stable(self):
+    def test_floor_convention_stable(self, monkeypatch):
         params = ModelParams(gamma=-0.5, nu=1)
         level = eigenvalue(params, 2)
-        a = shannon_entropy(level, params, floor=1e-300)
-        b = shannon_entropy(level, params, floor=5e-301)
+        a = shannon_entropy(level, params)
+        monkeypatch.setattr(edho.information, "_RHO_FLOOR", 5e-301)
+        b = shannon_entropy(level, params)
         assert abs(a - b) < 1e-9
 
 
@@ -271,8 +270,7 @@ class TestEntropyDensity:
     def test_integrates_back_to_entropy(self):
         params = ModelParams(gamma=-0.3, nu=1)
         level = eigenvalue(params, 1)
-        spec = IntegrationSpec(abs_tol=1e-12, rel_tol=1e-11,
-                               window=gaussian_window(level.lam, 1))
-        value, _ = integrate(lambda x: -entropy_density(level, params, x), spec)
+        value, _ = integrate(lambda x: -entropy_density(level, params, x),
+                             gaussian_window(level.lam, 1), 1e-11)
         assert value == pytest.approx(shannon_entropy(level, params), abs=1e-9)
 

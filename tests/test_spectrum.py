@@ -1,17 +1,17 @@
 import math
 
-import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from edho import (DomainError, ModelParams, NotReached, eigenvalue, residual,
-                  saturation_index, saturation_limit, spectrum_table)
+                  saturation_index, saturation_limit)
 
 
 def test_textbook_limit_exact():
     params = ModelParams(gamma=0.0, nu=1)
     assert eigenvalue(params, 7).energy == pytest.approx(7.5, abs=0)
-    assert [lv.energy for lv in spectrum_table(params, 3)] == [0.5, 1.5, 2.5, 3.5]
+    energies = [eigenvalue(params, n).energy for n in range(4)]
+    assert energies == [0.5, 1.5, 2.5, 3.5]
 
 
 def test_first_case_ground_state():
@@ -104,7 +104,7 @@ def test_small_coupling_recovers_textbook():
 def test_monotone_bounded_spectrum():
     for nu, gamma in ((1, -2.0), (2, -0.25)):
         params = ModelParams(gamma=gamma, nu=nu)
-        energies = [lv.energy for lv in spectrum_table(params, 200)]
+        energies = [eigenvalue(params, n).energy for n in range(201)]
         limit = saturation_limit(params)
         assert all(a < b < limit for a, b in zip(energies, energies[1:]))
         assert energies[-1] == pytest.approx(limit, rel=1e-4)

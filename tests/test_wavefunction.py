@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
-from edho import (DensityMode, DomainError, IntegrationSpec, ModelParams,
-                  density, density_gradient_sq_terms, eigenvalue,
-                  gaussian_window, integrate, perey_factor, psi, psi_prime,
-                  weight)
+from edho import (DensityMode, DomainError, ModelParams, density,
+                  density_gradient_sq_terms, eigenvalue, gaussian_window,
+                  integrate, perey_factor, psi, psi_prime, weight)
 from edho.wavefunction import hermite_fn_pair
 
 
-def norm_spec(level):
-    return IntegrationSpec(abs_tol=1e-12, rel_tol=1e-11,
-                           window=gaussian_window(level.lam, level.n))
+def _norm(level, params):
+    value, _ = integrate(lambda x: density(level, params, x),
+                         gaussian_window(level.lam, level.n), 1e-11)
+    return value
 
 
 class TestHermite:
@@ -72,18 +72,14 @@ class TestNormalization:
         params = ModelParams(gamma=gamma, nu=nu)
         for n in (0, 1, 2, 5, 13, 29, 50):
             level = eigenvalue(params, n)
-            norm, _ = integrate(lambda x: density(level, params, x),
-                                norm_spec(level))
-            assert norm == pytest.approx(1.0, abs=1e-8)
+            assert _norm(level, params) == pytest.approx(1.0, abs=1e-8)
 
     def test_unit_norm_nu_consistent_mode(self):
         params = ModelParams(gamma=-0.25, nu=2,
                              density_mode=DensityMode.NU_CONSISTENT)
         for n in (0, 1, 4):
             level = eigenvalue(params, n)
-            norm, _ = integrate(lambda x: density(level, params, x),
-                                norm_spec(level))
-            assert norm == pytest.approx(1.0, abs=1e-8)
+            assert _norm(level, params) == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonality_modified_product_first_case(self):
         # with f = 1 - (gamma/2) x**2 the cross terms cancel exactly for
@@ -99,8 +95,7 @@ class TestNormalization:
                     val, _ = integrate(
                         lambda x: (psi(lm, params, x) * psi(ln, params, x)
                                    * weight(params, x, ln)),
-                        IntegrationSpec(abs_tol=1e-12, rel_tol=1e-10,
-                                        window=window))
+                        window, 1e-10)
                     assert abs(val) < 1e-8
 
     def test_orthogonality_breaks_for_second_case(self):
@@ -113,7 +108,7 @@ class TestNormalization:
         val, _ = integrate(
             lambda x: (psi(lm, params, x) * psi(ln, params, x)
                        * weight(params, x, ln)),
-            IntegrationSpec(abs_tol=1e-12, rel_tol=1e-10, window=window))
+            window, 1e-10)
         assert abs(val) > 1e-3
 
 
