@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,8 @@ from .errors import DomainError, NonConvergence
 from .information import (cramer_rao, fisher_closed, fisher_numeric, moments,
                           shannon_entropy)
 from .quadrature import gaussian_window, integrate
-from .spectrum import (DensityMode, ModelParams, eigenvalue, residual,
-                       saturation_limit)
+from .spectrum import (DensityMode, ModelParams, _energies, eigenvalue,
+                       residual, saturation_limit)
 from .thermo import specific_heat_curve
 from .wavefunction import density, perey_factor, psi, weight
 
@@ -58,6 +59,9 @@ class SweepSpec:
             raise DomainError(
                 f"empty quantum-number range [{self.n_min}, {self.n_max}]"
             )
+        if self.n_max >= 2**52:
+            # past 2**52, n + 1/2 is no longer exact in floating point
+            raise DomainError(f"n_max must be below 2**52, got {self.n_max}")
         if not self.gamma_list:
             raise DomainError("gamma list is empty")
         if not all(math.isfinite(g) for g in self.gamma_list):
@@ -66,8 +70,12 @@ class SweepSpec:
             raise DomainError("gamma > 0 requires --permissive")
         for name in ("beta_grid", "x_grid"):
             grid = getattr(self, name)
+            if not all(math.isfinite(v) for v in grid):
+                raise DomainError(f"{name} must be finite")
             if grid and any(b >= a for a, b in zip(grid[1:], grid)):
                 raise DomainError(f"{name} must be strictly increasing")
+        if self.beta_grid and self.beta_grid[0] <= 0:
+            raise DomainError("beta_grid must be positive")
 
     def params(self, gamma: float) -> ModelParams:
         return ModelParams(gamma=gamma, nu=self.nu,
@@ -84,11 +92,19 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows of numbers and an empty error go through one template, which
+    prints exactly what ``_fmt`` and ``csv.writer`` print for them (their
+    integers stay below 2**52, see SweepSpec); rows with an error or a
+    blank value keep the writer, whose quoting an error text may need."""
+    template = ",".join(["%.17g"] * (len(header) - 1)) + ",%s\r\n"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if row[-1] or None in row:
+                writer.writerow([_fmt(v) for v in row])
+            else:
+                fh.write(template % row)
 
 
 _DEFAULT_BETAS = tuple(np.linspace(0.1, 10.0, 50))
@@ -103,26 +119,43 @@ def _xs(spec: SweepSpec):
     return spec.x_grid or _DEFAULT_XS
 
 
-# The four shapes of an output: (key columns after nu and gamma, the cells
-# of one coupling, the keys of a cell's points).  A cell is computed as a
-# whole and fails as a whole.
-_PER_LEVEL = (("n",), _levels, lambda spec, n: [(n,)])
-_LEVEL_X = (("n", "x"), _levels, lambda spec, n: [(n, x) for x in _xs(spec)])
+def _each(spec, cell):
+    """The keys of a cell that is the sequence of its points."""
+    return zip(cell)
+
+
+# The shapes of an output: (key columns after nu and gamma, the cells of one
+# coupling, the keys of a cell's points, whether a cell that raises is
+# retried one point at a time).  A cell is computed as a whole; without the
+# retry it also fails as a whole.
+_PER_LEVEL = (("n",), _levels, lambda spec, n: [(n,)], False)
+# one cell, the level range, retried per level so that only the levels
+# with no eigenvalue fail
+_LEVEL_RANGE = (("n",), lambda spec: [_levels(spec)], _each, True)
+_LEVEL_X = (("n", "x"), _levels,
+            lambda spec, n: ((n, x) for x in _xs(spec)), False)
 # one cell, the beta grid: the whole curve comes from one level set
 _PER_BETA = (("beta",), lambda spec: [spec.beta_grid or _DEFAULT_BETAS],
-             lambda spec, betas: [(b,) for b in betas])
-# perey_factor fails per x once gamma > 0, so each x is a cell of its own
-_PER_X = (("x",), _xs, lambda spec, x: [(x,)])
+             _each, False)
+# one cell, the x grid, retried per x: perey_factor fails per x once gamma > 0
+_X_GRID = (("x",), lambda spec: [_xs(spec)], _each, True)
 
 
-# Each compute maps (spec, params, cell) to one tuple of values per point.
-# They reach eigenvalue, fisher_numeric, ... as module globals at call time,
-# so anything that rebinds those names here sees every call.
+# Each compute maps (spec, params, cell) to one tuple of values per point;
+# a multi-point compute does all its work before it returns and hands the
+# values back lazily.  They reach eigenvalue, fisher_numeric, ... as module
+# globals at call time, so anything that rebinds those names here sees
+# every call.
 
-def _spectrum(spec, params, n):
-    level = eigenvalue(params, n)
+def _spectrum(spec, params, levels):
+    energies = _energies(params, levels)
+    good = np.isfinite(energies) & (energies > 0)
+    if not good.all():
+        # the scalar function raises the error of the first bad level
+        eigenvalue(params, levels[int(np.argmin(good))])
+    lam = energies / (np.asarray(levels) + 0.5)
     limit = saturation_limit(params) if params.gamma < 0 else None
-    return [(level.energy, level.lam, limit)]
+    return zip(energies, lam, repeat(limit))
 
 
 def _thermo(spec, params, betas):
@@ -159,16 +192,16 @@ def _shannon(spec, params, n):
 
 def _density(spec, params, n):
     rho = density(eigenvalue(params, n), params, np.asarray(_xs(spec)))
-    return [(float(r),) for r in rho]
+    return zip(rho)
 
 
-def _perey(spec, params, x):
-    return [(perey_factor(params, x),)]
+def _perey(spec, params, xs):
+    return zip(perey_factor(params, np.asarray(xs)))
 
 
 # output -> (shape, value columns, compute)
 _OUTPUTS = {
-    "spectrum": (_PER_LEVEL, ("energy", "lambda", "saturation_limit"),
+    "spectrum": (_LEVEL_RANGE, ("energy", "lambda", "saturation_limit"),
                  _spectrum),
     "thermo": (_PER_BETA, ("Z", "U", "Cv", "N_used"), _thermo),
     "fisher": (_PER_LEVEL, ("fisher_closed", "fisher_numeric", "fisher"),
@@ -177,29 +210,35 @@ _OUTPUTS = {
                    _cramer_rao),
     "shannon": (_PER_LEVEL, ("shannon",), _shannon),
     "density": (_LEVEL_X, ("rho",), _density),
-    "perey": (_PER_X, ("perey",), _perey),
+    "perey": (_X_GRID, ("perey",), _perey),
 }
 
 
 def _rows(spec: SweepSpec, name: str, counts: dict):
-    """CSV rows of one output, counted into ``counts``; a cell that raises
-    gives one error row per point, with its keys and blank values."""
-    (_, cells, points), columns, compute = _OUTPUTS[name]
+    """CSV rows of one output, counted into ``counts``, yielded as they are
+    made; a cell that raises gives one error row per point, with its keys
+    and blank values, unless its shape retries it one point at a time."""
+    (_, cells, points, retry), columns, compute = _OUTPUTS[name]
     nu, blank = spec.nu, (None,) * len(columns)
+
+    def cell_rows(gamma, cell):
+        try:
+            values, error = compute(spec, spec.params(gamma), cell), ""
+        except Exception as exc:
+            values, error = repeat(blank), f"{type(exc).__name__}: {exc}"
+        if error and retry and len(cell) > 1:
+            for i in range(len(cell)):
+                yield from cell_rows(gamma, cell[i:i + 1])
+            return
+        rows = 0
+        for rows, (key, vals) in enumerate(zip(points(spec, cell), values), 1):
+            yield (nu, gamma, *key, *vals, error)
+        counts["rows"] += rows
+        counts["error_rows"] += rows if error else 0
+
     for gamma in spec.gamma_list:
-        params = None  # built once per coupling, by its first cell
         for cell in cells(spec):
-            keys, error = points(spec, cell), ""
-            try:
-                params = params or spec.params(gamma)
-                values = compute(spec, params, cell)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                values = [blank] * len(keys)
-                counts["error_rows"] += len(keys)
-            counts["rows"] += len(keys)
-            for key, vals in zip(keys, values):
-                yield (nu, gamma, *key, *vals, error)
+            yield from cell_rows(gamma, cell)
 
 
 def run_sweep(spec: SweepSpec) -> dict[str, Path]:
@@ -210,7 +249,7 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
     written, per_output = {}, {}
     for name in spec.outputs:
         t_out = time.perf_counter()
-        (keys, _, _), columns, _ = _OUTPUTS[name]
+        (keys, *_), columns, _ = _OUTPUTS[name]
         counts = {"rows": 0, "error_rows": 0}
         path = out_dir / f"{name}.csv"
         _write_csv(path, ["nu", "gamma", *keys, *columns, "error"],
@@ -313,7 +352,8 @@ def _orthogonality_report(spec: SweepSpec) -> str:
         if gamma > 0:
             continue
         params = spec.params(gamma)
-        levels = [eigenvalue(params, n) for n in range(min(spec.n_max, 6) + 1)]
+        levels = [eigenvalue(params, n) for n in
+                  range(spec.n_min, min(spec.n_max, spec.n_min + 6) + 1)]
         for i, lm in enumerate(levels):
             for ln in levels[i + 1:]:
                 if (lm.n - ln.n) % 2:
@@ -330,10 +370,15 @@ def _orthogonality_report(spec: SweepSpec) -> str:
 def _parse_grid(text: str) -> tuple:
     try:
         start, stop, count = text.split(":")
-        return tuple(np.linspace(float(start), float(stop), int(count)))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be start:stop:count, got {text!r}") from exc
+    if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
+        # checked before linspace, which warns on an infinite end
+        raise argparse.ArgumentTypeError(
+            f"grid needs finite ends and a count of at least 1, got {text!r}")
+    return tuple(np.linspace(start, stop, count))
 
 
 def _parse_gammas(text: str) -> tuple:

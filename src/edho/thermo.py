@@ -46,8 +46,10 @@ def _point(e0: float, d: np.ndarray, beta: float, n_used: int) -> ThermoPoint:
 
     U comes from the offsets d and Cv from the two-pass variance
     sum w (d - (U - e0))**2 / sum w, so neither cancels at low temperature,
-    where U - e0 is tiny.
+    where U - e0 is tiny.  d is sorted and exp(-x) is exactly 0 for
+    x > 745.14, so the levels past d = 746/beta add nothing and are cut.
     """
+    d = d[:np.searchsorted(d, 746.0 / beta, side="right")]
     w = np.exp(-beta * d)
     w_sum = float(w.sum())
     z = math.exp(-beta * e0) * w_sum

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 
 import edho.cli
-from edho.cli import SweepSpec, main, run_sweep, run_validation
+from edho.cli import (SweepSpec, _fmt, _write_csv, main, run_sweep,
+                      run_validation)
 from edho.errors import DomainError
 from edho.information import moments
+from edho.spectrum import _energies
+from edho.wavefunction import psi
 
 
 def read_rows(path):
@@ -91,6 +95,47 @@ class TestRunSweep:
             beta = float(r["beta"])
             ref = (beta / 2) ** 2 / math.sinh(beta / 2) ** 2
             assert float(r["Cv"]) == pytest.approx(ref, abs=1e-2)
+
+    def test_template_rows_match_csv_writer(self, tmp_path):
+        # rows without an error or a blank value take the one-template path;
+        # the rest keep csv.writer, which quotes a comma or a quote
+        rows = [
+            (1, -0.5, 3, 0.1, np.float64(2.0) / 3, ""),
+            (2, np.int64(7), 10**15, math.nan, math.inf, ""),
+            (1, -math.inf, -0.0, np.float64(-0.0), 1e-300, ""),
+            (1, -0.5, 4, None, 2.5, ""),
+            (1, -0.5, 5, None, None, "DomainError: a, b"),
+            (1, -0.5, 6, None, None, 'ValueError: "quoted"'),
+            (2, 0.25, np.int64(8), 5e-324, -1.7976931348623157e308, ""),
+        ]
+        header = ["nu", "gamma", "n", "a", "b", "error"]
+        _write_csv(tmp_path / "out.csv", header, iter(rows))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        assert (tmp_path / "out.csv").read_bytes() == \
+            expected.getvalue().encode()
+
+    def test_spectrum_sweep_is_one_array_call_per_coupling(self, tmp_path,
+                                                            monkeypatch):
+        calls = []
+
+        def counting(params, ns):
+            calls.append(params.gamma)
+            return _energies(params, ns)
+
+        def scalar(params, n):
+            raise AssertionError(f"scalar eigenvalue called at n={n}")
+
+        monkeypatch.setattr(edho.cli, "_energies", counting)
+        monkeypatch.setattr(edho.cli, "eigenvalue", scalar)
+        spec = SweepSpec(gamma_list=(-0.5, 0.0, -1e-3), n_max=500,
+                         outputs=("spectrum",), out_dir=str(tmp_path))
+        rows = read_rows(run_sweep(spec)["spectrum"])
+        assert calls == [-0.5, 0.0, -1e-3]
+        assert len(rows) == 3 * 501 and not any(r["error"] for r in rows)
 
     def test_density_and_perey_csv(self, tmp_path):
         spec = SweepSpec(gamma_list=(-0.5,), n_min=2, n_max=2,
@@ -189,6 +234,17 @@ class TestSpecValidation:
             SweepSpec(gamma_list=(0.5,))
         SweepSpec(gamma_list=(0.5,), permissive=True)
 
+    @pytest.mark.parametrize("fields", [
+        {"beta_grid": (0.0, 1.0)},
+        {"beta_grid": (-1.0, 1.0)},
+        {"x_grid": (-1.0, math.nan)},
+        {"x_grid": (-math.inf, 0.0)},
+        {"n_max": 2**52},  # n + 1/2 is no longer exact
+    ])
+    def test_bad_grid_or_range_rejected(self, fields):
+        with pytest.raises(DomainError):
+            SweepSpec(**fields)
+
 
 class TestMainEntry:
     def test_spectrum_subcommand(self, tmp_path, capsys):
@@ -237,6 +293,22 @@ class TestMainEntry:
             cfg.write_text(line + "\n")
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("grid", [
+        "--beta-grid=0.1:10:0",   # no points at all
+        "--x-grid=-1:nan:3",      # nan keys and values
+        "--x-grid=-inf:1:3",
+        "--beta-grid=-1:1:3",     # beta must be positive
+        "--beta-grid=0:1:3",
+    ])
+    def test_bad_grid_is_usage_error(self, grid, tmp_path, capsys):
+        command = "thermo" if "beta" in grid else "perey"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--gamma=-0.5", grid, "--out", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
@@ -313,3 +385,17 @@ class TestMainEntry:
         _, ok = run_validation(spec)
         assert ok
         assert gated == [*range(20, 33), 40]
+
+    def test_validate_overlap_report_takes_range_start(self, monkeypatch):
+        reported = set()
+
+        def recording(level, params, x):
+            reported.add(level.n)
+            return psi(level, params, x)
+
+        monkeypatch.setattr(edho.cli, "psi", recording)
+        lines, ok = run_validation(SweepSpec(gamma_list=(-0.5,), n_min=20,
+                                             n_max=30))
+        assert ok
+        assert reported == set(range(20, 27))
+        assert lines[-1].startswith("REPORT orthogonality")

@@ -6,6 +6,7 @@ import pytest
 from edho import (DomainError, ModelParams, eigenvalue,
                   reference_partition_function, saturation_limit,
                   specific_heat_curve)
+from edho.spectrum import _energies
 
 
 class TestReference:
@@ -130,6 +131,25 @@ class TestSpecificHeatCurve:
         assert point.U == pytest.approx(float(energies[0] + shift), rel=1e-12,
                                        abs=0)
         assert point.Cv == pytest.approx(float(cv), rel=1e-12, abs=0)
+
+    def test_underflow_cut_changes_nothing(self):
+        # the curve sums only the levels with exp(-beta d) > 0; the same
+        # two-pass sums over every level must give the same numbers
+        params = ModelParams(gamma=-3.2e-3, nu=1)
+        betas = [0.01, 2.4, 20.0, 100.0]
+        curve = specific_heat_curve(params, betas)
+        n_sat = curve[0].N_used
+        energies = np.append(_energies(params, np.arange(n_sat + 1)),
+                             saturation_limit(params))
+        d = energies - energies[0]
+        for beta, point in zip(betas, curve):
+            w = np.exp(-beta * d)
+            z = math.exp(-beta * energies[0]) * w.sum()
+            shift = (w * d).sum() / w.sum()
+            cv = beta * beta * (w * (d - shift) ** 2).sum() / w.sum()
+            assert (point.Z, point.U, point.Cv) == (z, energies[0] + shift, cv)
+        # most of the levels are cut at low temperature
+        assert np.count_nonzero(np.exp(-100.0 * d)) < 100 < n_sat
 
     def test_grid_validation(self):
         params = ModelParams(gamma=-0.5, nu=1)
