@@ -149,10 +149,6 @@ _X_GRID = (("x",), lambda spec: [_xs(spec)], _each, True)
 
 def _spectrum(spec, params, levels):
     energies = _energies(params, levels)
-    good = np.isfinite(energies) & (energies > 0)
-    if not good.all():
-        # the scalar function raises the error of the first bad level
-        eigenvalue(params, levels[int(np.argmin(good))])
     lam = energies / (np.asarray(levels) + 0.5)
     limit = saturation_limit(params) if params.gamma < 0 else None
     return zip(energies, lam, repeat(limit))
@@ -181,9 +177,10 @@ def _fisher(spec, params, n):
 
 def _cramer_rao(spec, params, n):
     level = eigenvalue(params, n)
-    product = cramer_rao(level, params, source=spec.fisher_source)
+    fisher = {"closed": fisher_closed,
+              "numeric": fisher_numeric}[spec.fisher_source](level, params)
     _, _, variance = moments(level, params)
-    return [(product / variance, variance, product)]
+    return [(fisher, variance, fisher * variance)]
 
 
 def _shannon(spec, params, n):
@@ -293,8 +290,8 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
     quad_levels = list(range(spec.n_min, min(spec.n_max, spec.n_min + 12) + 1))
     if quad_levels[-1] < spec.n_max:
         quad_levels.append(spec.n_max)
-    res_err = norm_err = mom_err = cr_err = 0.0
-    neg_interval = None
+    res_err = norm_err = mom_err = cr_err = overlap = 0.0
+    negative = []
     for gamma in spec.gamma_list:
         try:
             params = spec.params(gamma)
@@ -305,15 +302,31 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                                 or tuple(np.linspace(-8.0, 8.0, 321)))
                 level = eigenvalue(params, spec.n_min)
                 rho = density(level, params, xs)
-                if np.any(rho < 0):
-                    neg = xs[rho < 0]
-                    neg_interval = (float(neg.min()), float(neg.max()))
+                # each run of grid points with rho < 0, by its end points
+                edges = np.flatnonzero(np.diff(np.r_[False, rho < 0, False]))
+                if edges.size:
+                    runs = " and ".join(f"[{xs[a]:.4g}, {xs[b - 1]:.4g}]"
+                                        for a, b in edges.reshape(-1, 2))
+                    negative.append(f"gamma={gamma:g}: rho < 0 on x in {runs}")
             for n in range(spec.n_min, spec.n_max + 1):
                 level = eigenvalue(params, n)
                 res_err = max(res_err, abs(residual(params, n, level.energy))
                               / (n + 0.5) ** 2)
             if gamma > 0:
                 continue
+            # non-gating: modified-product overlap of distinct levels
+            levels = [eigenvalue(params, n) for n in
+                      range(spec.n_min, min(spec.n_max, spec.n_min + 6) + 1)]
+            for i, lm in enumerate(levels):
+                for ln in levels[i + 1:]:
+                    if (lm.n - ln.n) % 2:
+                        continue
+                    window = gaussian_window(min(lm.lam, ln.lam), ln.n)
+                    val, _ = integrate(
+                        lambda x: (psi(lm, params, x) * psi(ln, params, x)
+                                   * weight(params, x, ln)),
+                        window, 1e-10)
+                    overlap = max(overlap, abs(val))
             for n in quad_levels:
                 level = eigenvalue(params, n)
                 window = gaussian_window(level.lam, n)
@@ -335,36 +348,12 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
     gate("normalization", norm_err, _NORM_TOL)
     gate("moment_closed_form", mom_err, _MOMENT_TOL)
     gate("cramer_rao_bound", cr_err, _CRAMER_RAO_SLACK)
-    if neg_interval is not None:
-        ok = False
-        lines.append(f"CHECK density_positivity: FAILED rho < 0 on "
-                     f"x in [{neg_interval[0]:.4g}, {neg_interval[1]:.4g}]")
-    else:
-        lines.append("CHECK density_positivity: PASS")
-    lines.append(_orthogonality_report(spec))
+    ok = ok and not negative
+    lines += ([f"CHECK density_positivity: FAILED {where}"
+               for where in negative] or ["CHECK density_positivity: PASS"])
+    lines.append("REPORT orthogonality(modified product): "
+                 f"max_overlap={overlap:.3e}")
     return lines, ok
-
-
-def _orthogonality_report(spec: SweepSpec) -> str:
-    """Non-gating report: modified-product overlap of distinct levels."""
-    worst = 0.0
-    for gamma in spec.gamma_list:
-        if gamma > 0:
-            continue
-        params = spec.params(gamma)
-        levels = [eigenvalue(params, n) for n in
-                  range(spec.n_min, min(spec.n_max, spec.n_min + 6) + 1)]
-        for i, lm in enumerate(levels):
-            for ln in levels[i + 1:]:
-                if (lm.n - ln.n) % 2:
-                    continue
-                window = gaussian_window(min(lm.lam, ln.lam), ln.n)
-                val, _ = integrate(
-                    lambda x: (psi(lm, params, x) * psi(ln, params, x)
-                               * weight(params, x, ln)),
-                    window, 1e-10)
-                worst = max(worst, abs(val))
-    return f"REPORT orthogonality(modified product): max_overlap={worst:.3e}"
 
 
 def _parse_grid(text: str) -> tuple:

@@ -82,19 +82,9 @@ def moments(level: EnergyLevel, params: ModelParams) -> tuple[float, float, floa
     return 0.0, second, second
 
 
-def cramer_rao(level: EnergyLevel, params: ModelParams,
-               source: str = "numeric") -> float:
-    """Fisher * variance; >= 1, equal to (2n+1)**2 at gamma = 0.
-
-    source "numeric" (default) guarantees the bound; "closed" uses the
-    truncated closed form instead.
-    """
-    if source == "numeric":
-        fisher = fisher_numeric(level, params)
-    elif source == "closed":
-        fisher = fisher_closed(level, params)
-    else:
-        raise ValueError(f"source must be 'numeric' or 'closed', got {source!r}")
+def cramer_rao(level: EnergyLevel, params: ModelParams) -> float:
+    """Numeric Fisher * variance; >= 1, equal to (2n+1)**2 at gamma = 0."""
+    fisher = fisher_numeric(level, params)
     _, _, variance = moments(level, params)
     return fisher * variance
 

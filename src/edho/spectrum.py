@@ -74,7 +74,12 @@ def residual(params: ModelParams, n: int, energy: float) -> float:
 
 
 def _energies(params: ModelParams, ns) -> np.ndarray:
-    """Vectorized positive-branch eigenvalues for an array of quantum numbers."""
+    """Vectorized positive-branch eigenvalues for an array of quantum numbers.
+
+    NonPositiveEnergy names the first level whose energy is not positive
+    and finite (at nu = 1 gamma**2 overflows past |gamma| ~ 1.3e154, and
+    the root then reads 0).
+    """
     ns = np.asarray(ns, dtype=float)
     half = ns + 0.5
     s = half * half
@@ -84,14 +89,25 @@ def _energies(params: ModelParams, ns) -> np.ndarray:
         if g <= 0:
             # rearranged root: avoids the cancellation of the textbook
             # quadratic formula when |gamma| * n is large
-            return s / (q - g * s / 2.0)
-        return g * s / 2.0 + q
-    disc = 4.0 - g * (2.0 * ns + 1.0) ** 2
-    if np.any(disc <= 0):
-        raise DomainError(
-            f"4 - gamma*(2n+1)**2 must stay positive (gamma={g})"
+            energies = s / (q - g * s / 2.0)
+        else:
+            energies = g * s / 2.0 + q
+    else:
+        disc = 4.0 - g * (2.0 * ns + 1.0) ** 2
+        if np.any(disc <= 0):
+            raise DomainError(
+                f"4 - gamma*(2n+1)**2 must stay positive (gamma={g})"
+            )
+        energies = (2.0 * ns + 1.0) / np.sqrt(disc)
+    # min and max rather than a mask: no temporaries on a large level set
+    if energies.size and not (energies.min() > 0
+                              and np.isfinite(energies.max())):
+        i = int(np.argmin(np.isfinite(energies) & (energies > 0)))
+        raise NonPositiveEnergy(
+            f"retained branch gave E={float(energies.flat[i])} at "
+            f"n={int(ns.flat[i])}, gamma={g}"
         )
-    return (2.0 * ns + 1.0) / np.sqrt(disc)
+    return energies
 
 
 def eigenvalue(params: ModelParams, n: int) -> EnergyLevel:
@@ -103,10 +119,6 @@ def eigenvalue(params: ModelParams, n: int) -> EnergyLevel:
     if n < 0:
         raise DomainError(f"quantum number must be non-negative, got {n}")
     energy = float(_energies(params, n))
-    if energy <= 0 or not math.isfinite(energy):
-        raise NonPositiveEnergy(
-            f"retained branch gave E={energy} at n={n}, gamma={params.gamma}"
-        )
     lam = energy / (n + 0.5)
     return EnergyLevel(n=n, energy=energy, lam=lam)
 

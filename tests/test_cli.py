@@ -86,6 +86,21 @@ class TestRunSweep:
         assert all(float(r["fisher_numeric"]) > 0 for r in rows)
         assert any(math.isnan(float(r["fisher_closed"])) for r in rows)
 
+    @pytest.mark.parametrize("source", ["numeric", "closed"])
+    def test_cramer_rao_fisher_is_fisher_column(self, source, tmp_path):
+        spec = SweepSpec(gamma_list=(-0.5, -0.01, 0.0), n_max=30,
+                         outputs=("fisher", "cramer_rao"),
+                         fisher_source=source, out_dir=str(tmp_path))
+        written = run_sweep(spec)
+        fisher = read_rows(written["fisher"])
+        rows = read_rows(written["cramer_rao"])
+        assert [r["fisher"] for r in rows] == [r["fisher"] for r in fisher]
+        assert any(not r["error"] for r in rows)
+        for r in rows:
+            if not r["error"]:
+                assert float(r["product"]) == \
+                    float(r["fisher"]) * float(r["variance"])
+
     def test_thermo_csv(self, tmp_path):
         spec = SweepSpec(gamma_list=(-1e-5,), n_max=5, eps_sat=0.5,
                          beta_grid=tuple(np.linspace(0.5, 10, 20)),
@@ -156,6 +171,10 @@ ERROR_SWEEPS = {
     "thermo": (["thermo", "--gamma=-1e-5,-0.5", "--beta-grid", "0.5:5:4"],
                "thermo", ["beta"], 4,
                lambda r: float(r["gamma"]) == -1e-5),
+    # gamma**2 overflows, so no level of -1e300 has an energy
+    "thermo-overflow": (["thermo", "--gamma=-1e300,-0.5", "--beta-grid",
+                         "0.5:5:4"], "thermo", ["beta"], 4,
+                        lambda r: float(r["gamma"]) == -1e300),
     # nu = 2, gamma = 0.1 has no real level above n = 2
     "spectrum": (["spectrum", "--nu", "2", "--gamma=0.1,-0.5", "--permissive",
                   "--n-max", "4"], "spectrum", ["n"], 2,
@@ -209,7 +228,8 @@ def test_error_rows_keep_keys_and_blank_values(case, tmp_path):
             assert r[value_cols[0]], r
     assert len(failed) == n_errors
     if name == "thermo":
-        assert all(r["error"].startswith("NotReached") for r in failed)
+        kind = "NotReached" if case == "thermo" else "NonPositiveEnergy"
+        assert all(r["error"].startswith(kind) for r in failed)
         assert [float(r["beta"]) for r in failed] == [0.5, 2.0, 3.5, 5.0]
     if case == "fisher-nu2":
         for r in rows[:3]:
@@ -340,12 +360,18 @@ class TestMainEntry:
         assert "FAILED" not in out
 
     def test_validate_flags_positivity_violation(self, tmp_path, capsys):
-        code = main(["validate", "--gamma=0.5", "--permissive",
+        code = main(["validate", "--gamma=0.3,0.1", "--permissive",
                      "--n-max", "2", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "density_positivity: FAILED" in out
-        assert "x in [" in out
+        failed = [line for line in out.splitlines()
+                  if line.startswith("CHECK density_positivity: FAILED")]
+        # one line per coupling, each naming its two negative tails of f
+        assert [line.split()[3] for line in failed] == ["gamma=0.3:",
+                                                        "gamma=0.1:"]
+        for line in failed:
+            assert "x in [-8, " in line and " and [" in line
+            assert line.endswith(", 8]")
 
     @pytest.mark.parametrize("gammas", ["nan", "inf", "-0.5,-inf"])
     def test_validate_non_finite_gamma_is_usage_error(self, gammas, tmp_path):
@@ -353,15 +379,31 @@ class TestMainEntry:
             main(["validate", f"--gamma={gammas}", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    def test_validate_domain_error_is_failed_gate(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, failed, positivity, gated", [
         # nu=2 with gamma=0.1 has no real level at n=3
-        code = main(["validate", "--gamma=0.1", "--nu", "2", "--permissive",
-                     "--n-max", "3", "--out", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "CHECK domain: FAILED gamma=0.1" in out
+        (["--gamma=0.1", "--nu", "2", "--permissive"], "gamma=0.1",
+         "FAILED", []),
+        # gamma**2 overflows, so -1e300 has no level with an energy
+        (["--gamma=-1e300,-0.5"], "gamma=-1e+300", "PASS", [-0.5]),
+    ], ids=["nu2-no-level", "gamma-overflow"])
+    def test_validate_domain_error_is_failed_gate(self, argv, failed,
+                                                  positivity, gated, tmp_path,
+                                                  capsys, monkeypatch):
+        gammas = set()
+
+        def recording(level, params):
+            gammas.add(params.gamma)
+            return moments(level, params)
+
+        monkeypatch.setattr(edho.cli, "moments", recording)
+        code = main(["validate", *argv, "--n-max", "3",
+                     "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert f"CHECK domain: FAILED {failed}" in out
         assert "CHECK residual" in out
-        assert "density_positivity: FAILED" in out
+        assert f"density_positivity: {positivity}" in out
+        assert sorted(gammas) == gated
 
     def test_validate_non_convergence_is_failed_gate(self, tmp_path, capsys):
         # the Fisher integral at gamma = -1e6, n = 0 never meets 1e-12

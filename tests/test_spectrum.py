@@ -3,8 +3,9 @@ import math
 import pytest
 from scipy.optimize import brentq
 
-from edho import (DomainError, ModelParams, NotReached, eigenvalue, residual,
-                  saturation_index, saturation_limit)
+from edho import (DomainError, ModelParams, NonPositiveEnergy, NotReached,
+                  eigenvalue, residual, saturation_index, saturation_limit)
+from edho.spectrum import _energies
 
 
 def test_textbook_limit_exact():
@@ -131,6 +132,18 @@ def test_parameter_validation():
     with pytest.raises(DomainError):
         # nu=2 square root argument goes non-positive for gamma > 0
         eigenvalue(ModelParams(gamma=0.5, nu=2, permissive=True), 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda params: eigenvalue(params, 0),
+    lambda params: _energies(params, range(4)),
+    saturation_index,
+], ids=["eigenvalue", "_energies", "saturation_index"])
+def test_unrepresentable_energy_raises(call):
+    # gamma**2 overflows, so the retained root reads E = 0 at every level
+    params = ModelParams(gamma=-1e300, nu=1)
+    with pytest.raises(NonPositiveEnergy, match=r"E=0\.0 at n=0,"):
+        call(params)
 
 
 def test_large_n_no_cancellation():
