@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ _NORM_TOL = 1e-8
 _RESIDUAL_TOL = 1e-10
 _MOMENT_TOL = 1e-8
 _CRAMER_RAO_SLACK = 1e-10
+_MAX_GRID_COUNT = 10**6
 
 
 @dataclass
@@ -110,42 +111,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 _DEFAULT_BETAS = tuple(np.linspace(0.1, 10.0, 50))
 _DEFAULT_XS = tuple(np.linspace(-6.0, 6.0, 241))
 
-
-def _levels(spec: SweepSpec):
-    return range(spec.n_min, spec.n_max + 1)
-
-
-def _xs(spec: SweepSpec):
-    return spec.x_grid or _DEFAULT_XS
-
-
-def _each(spec, cell):
-    """The keys of a cell that is the sequence of its points."""
-    return zip(cell)
-
-
-# The shapes of an output: (key columns after nu and gamma, the cells of one
-# coupling, the keys of a cell's points, whether a cell that raises is
-# retried one point at a time).  A cell is computed as a whole; without the
-# retry it also fails as a whole.
-_PER_LEVEL = (("n",), _levels, lambda spec, n: [(n,)], False)
-# one cell, the level range, retried per level so that only the levels
-# with no eigenvalue fail
-_LEVEL_RANGE = (("n",), lambda spec: [_levels(spec)], _each, True)
-_LEVEL_X = (("n", "x"), _levels,
-            lambda spec, n: ((n, x) for x in _xs(spec)), False)
-# one cell, the beta grid: the whole curve comes from one level set
-_PER_BETA = (("beta",), lambda spec: [spec.beta_grid or _DEFAULT_BETAS],
-             _each, False)
-# one cell, the x grid, retried per x: perey_factor fails per x once gamma > 0
-_X_GRID = (("x",), lambda spec: [_xs(spec)], _each, True)
+# each key column after nu and gamma -> its values over one coupling
+_AXES = {
+    "n": lambda spec: range(spec.n_min, spec.n_max + 1),
+    "x": lambda spec: spec.x_grid or _DEFAULT_XS,
+    "beta": lambda spec: spec.beta_grid or _DEFAULT_BETAS,
+}
 
 
 # Each compute maps (spec, params, cell) to one tuple of values per point;
-# a multi-point compute does all its work before it returns and hands the
-# values back lazily.  They reach eigenvalue, fisher_numeric, ... as module
-# globals at call time, so anything that rebinds those names here sees
-# every call.
+# a cell is either a whole first axis or one value of it.  A multi-point
+# compute does all its work before it returns and hands the values back
+# lazily.  They reach eigenvalue, fisher_numeric, ... as module globals at
+# call time, so anything that rebinds those names here sees every call.
 
 def _spectrum(spec, params, levels):
     energies = _energies(params, levels)
@@ -188,7 +166,7 @@ def _shannon(spec, params, n):
 
 
 def _density(spec, params, n):
-    rho = density(eigenvalue(params, n), params, np.asarray(_xs(spec)))
+    rho = density(eigenvalue(params, n), params, np.asarray(_AXES["x"](spec)))
     return zip(rho)
 
 
@@ -196,26 +174,32 @@ def _perey(spec, params, xs):
     return zip(perey_factor(params, np.asarray(xs)))
 
 
-# output -> (shape, value columns, compute)
+# output -> (key columns, value columns, compute, whether the compute takes
+# the whole first axis in one call rather than one of its values)
 _OUTPUTS = {
-    "spectrum": (_LEVEL_RANGE, ("energy", "lambda", "saturation_limit"),
-                 _spectrum),
-    "thermo": (_PER_BETA, ("Z", "U", "Cv", "N_used"), _thermo),
-    "fisher": (_PER_LEVEL, ("fisher_closed", "fisher_numeric", "fisher"),
-               _fisher),
-    "cramer_rao": (_PER_LEVEL, ("fisher", "variance", "product"),
-                   _cramer_rao),
-    "shannon": (_PER_LEVEL, ("shannon",), _shannon),
-    "density": (_LEVEL_X, ("rho",), _density),
-    "perey": (_X_GRID, ("perey",), _perey),
+    "spectrum": (("n",), ("energy", "lambda", "saturation_limit"), _spectrum,
+                 True),
+    "thermo": (("beta",), ("Z", "U", "Cv", "N_used"), _thermo, True),
+    "fisher": (("n",), ("fisher_closed", "fisher_numeric", "fisher"), _fisher,
+               False),
+    "cramer_rao": (("n",), ("fisher", "variance", "product"), _cramer_rao,
+                   False),
+    "shannon": (("n",), ("shannon",), _shannon, False),
+    "density": (("n", "x"), ("rho",), _density, False),
+    "perey": (("x",), ("perey",), _perey, True),
 }
 
 
 def _rows(spec: SweepSpec, name: str, counts: dict):
     """CSV rows of one output, counted into ``counts``, yielded as they are
-    made; a cell that raises gives one error row per point, with its keys
-    and blank values, unless its shape retries it one point at a time."""
-    (_, cells, points, retry), columns, compute = _OUTPUTS[name]
+    made.  The cells of a coupling are its whole first axis, or each value
+    of that axis; a point's keys are its first-axis value, crossed with
+    the later axes for a per-value cell.  A cell that raises gives one
+    error row per point, with its keys and blank values; a whole-axis cell
+    is first retried one point at a time, so only the points that fail
+    become error rows."""
+    keys, columns, compute, whole = _OUTPUTS[name]
+    first, *rest = (_AXES[key](spec) for key in keys)
     nu, blank = spec.nu, (None,) * len(columns)
 
     def cell_rows(gamma, cell):
@@ -223,18 +207,19 @@ def _rows(spec: SweepSpec, name: str, counts: dict):
             values, error = compute(spec, spec.params(gamma), cell), ""
         except Exception as exc:
             values, error = repeat(blank), f"{type(exc).__name__}: {exc}"
-        if error and retry and len(cell) > 1:
+        if error and whole and len(cell) > 1:
             for i in range(len(cell)):
                 yield from cell_rows(gamma, cell[i:i + 1])
             return
+        points = zip(cell) if whole else product([cell], *rest)
         rows = 0
-        for rows, (key, vals) in enumerate(zip(points(spec, cell), values), 1):
+        for rows, (key, vals) in enumerate(zip(points, values), 1):
             yield (nu, gamma, *key, *vals, error)
         counts["rows"] += rows
         counts["error_rows"] += rows if error else 0
 
     for gamma in spec.gamma_list:
-        for cell in cells(spec):
+        for cell in [first] if whole else first:
             yield from cell_rows(gamma, cell)
 
 
@@ -246,7 +231,7 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
     written, per_output = {}, {}
     for name in spec.outputs:
         t_out = time.perf_counter()
-        (keys, *_), columns, _ = _OUTPUTS[name]
+        keys, columns, *_ = _OUTPUTS[name]
         counts = {"rows": 0, "error_rows": 0}
         path = out_dir / f"{name}.csv"
         _write_csv(path, ["nu", "gamma", *keys, *columns, "error"],
@@ -314,11 +299,11 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                               / (n + 0.5) ** 2)
             if gamma > 0:
                 continue
-            # non-gating: modified-product overlap of distinct levels
-            levels = [eigenvalue(params, n) for n in
-                      range(spec.n_min, min(spec.n_max, spec.n_min + 6) + 1)]
-            for i, lm in enumerate(levels):
-                for ln in levels[i + 1:]:
+            levels = [eigenvalue(params, n) for n in quad_levels]
+            # non-gating: modified-product overlap of distinct levels among
+            # n_min..min(n_max, n_min + 6), the first seven gated ones
+            for i, lm in enumerate(levels[:7]):
+                for ln in levels[i + 1:7]:
                     if (lm.n - ln.n) % 2:
                         continue
                     window = gaussian_window(min(lm.lam, ln.lam), ln.n)
@@ -327,9 +312,8 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                                    * weight(params, x, ln)),
                         window, 1e-10)
                     overlap = max(overlap, abs(val))
-            for n in quad_levels:
-                level = eigenvalue(params, n)
-                window = gaussian_window(level.lam, n)
+            for level in levels:
+                window = gaussian_window(level.lam, level.n)
                 norm, _ = integrate(lambda x: density(level, params, x),
                                     window, 1e-11)
                 norm_err = max(norm_err, abs(norm - 1.0))
@@ -363,10 +347,13 @@ def _parse_grid(text: str) -> tuple:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be start:stop:count, got {text!r}") from exc
-    if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
-        # checked before linspace, which warns on an infinite end
+    if (not 1 <= count <= _MAX_GRID_COUNT
+            or not (math.isfinite(start) and math.isfinite(stop))):
+        # checked before linspace, which warns on an infinite end and would
+        # allocate a grid of any count
         raise argparse.ArgumentTypeError(
-            f"grid needs finite ends and a count of at least 1, got {text!r}")
+            "grid needs finite ends and a count from 1 to "
+            f"{_MAX_GRID_COUNT}, got {text!r}")
     return tuple(np.linspace(start, stop, count))
 
 

@@ -12,6 +12,7 @@ from edho.cli import (SweepSpec, _fmt, _write_csv, main, run_sweep,
 from edho.errors import DomainError
 from edho.information import moments
 from edho.spectrum import _energies
+from edho.thermo import specific_heat_curve
 from edho.wavefunction import psi
 
 
@@ -151,6 +152,30 @@ class TestRunSweep:
         rows = read_rows(run_sweep(spec)["spectrum"])
         assert calls == [-0.5, 0.0, -1e-3]
         assert len(rows) == 3 * 501 and not any(r["error"] for r in rows)
+
+    @pytest.mark.parametrize("gamma, betas_per_call, n_errors", [
+        ("-0.5", [4], 0),
+        # NotReached before any level set is built, then once per beta
+        ("-1e-5", [4, 1, 1, 1, 1], 4),
+    ], ids=["healthy", "not-reached"])
+    def test_thermo_retries_a_failed_curve_per_beta(self, gamma,
+                                                     betas_per_call, n_errors,
+                                                     tmp_path, monkeypatch):
+        calls = []
+
+        def counting(params, betas, eps_sat=1e-6):
+            calls.append(len(betas))
+            return specific_heat_curve(params, betas, eps_sat=eps_sat)
+
+        monkeypatch.setattr(edho.cli, "specific_heat_curve", counting)
+        assert main(["thermo", f"--gamma={gamma}", "--beta-grid", "0.5:5:4",
+                     "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "thermo.csv")
+        errors = [r["error"] for r in rows if r["error"]]
+        assert calls == betas_per_call
+        assert len(rows) == 4 and len(errors) == n_errors
+        assert len(set(errors)) <= 1
+        assert all(e.startswith("NotReached: ") for e in errors)
 
     def test_density_and_perey_csv(self, tmp_path):
         spec = SweepSpec(gamma_list=(-0.5,), n_min=2, n_max=2,
@@ -324,6 +349,7 @@ class TestMainEntry:
         "--x-grid=-inf:1:3",
         "--beta-grid=-1:1:3",     # beta must be positive
         "--beta-grid=0:1:3",
+        "--x-grid=-1:1:1000001",  # one point past the count limit
     ])
     def test_bad_grid_is_usage_error(self, grid, tmp_path, capsys):
         command = "thermo" if "beta" in grid else "perey"

@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy.optimize import brentq
 
+import edho.spectrum
 from edho import (DomainError, ModelParams, NonPositiveEnergy, NotReached,
                   eigenvalue, residual, saturation_index, saturation_limit)
 from edho.spectrum import _energies
@@ -81,19 +82,22 @@ def test_saturation_index_monotone_in_coupling():
 
 
 def test_saturation_index_not_reached():
+    # n_sat is about 1e8, past the cap of 1e6
     with pytest.raises(NotReached):
-        saturation_index(ModelParams(gamma=-1e-5, nu=1), 1e-6, n_max=10**4)
+        saturation_index(ModelParams(gamma=-1e-5, nu=1), 1e-6)
 
 
 @pytest.mark.parametrize("nu,gamma,eps", [(1, -0.1, 1e-4), (1, -2.0, 1e-3),
                                           (2, -0.3, 1e-5), (2, -1e-3, 0.2)])
-def test_saturation_index_cap_is_exact(nu, gamma, eps):
-    # NotReached exactly when n_sat > n_max
+def test_saturation_index_cap_is_exact(nu, gamma, eps, monkeypatch):
+    # NotReached exactly when n_sat > the cap
     params = ModelParams(gamma=gamma, nu=nu)
     n_sat = saturation_index(params, eps)
-    assert saturation_index(params, eps, n_max=n_sat) == n_sat
+    monkeypatch.setattr(edho.spectrum, "_N_SAT_CAP", n_sat)
+    assert saturation_index(params, eps) == n_sat
+    monkeypatch.setattr(edho.spectrum, "_N_SAT_CAP", n_sat - 1)
     with pytest.raises(NotReached):
-        saturation_index(params, eps, n_max=n_sat - 1)
+        saturation_index(params, eps)
 
 
 def test_small_coupling_recovers_textbook():
@@ -134,15 +138,22 @@ def test_parameter_validation():
         eigenvalue(ModelParams(gamma=0.5, nu=2, permissive=True), 3)
 
 
-@pytest.mark.parametrize("call", [
-    lambda params: eigenvalue(params, 0),
-    lambda params: _energies(params, range(4)),
-    saturation_index,
-], ids=["eigenvalue", "_energies", "saturation_index"])
-def test_unrepresentable_energy_raises(call):
-    # gamma**2 overflows, so the retained root reads E = 0 at every level
-    params = ModelParams(gamma=-1e300, nu=1)
-    with pytest.raises(NonPositiveEnergy, match=r"E=0\.0 at n=0,"):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, nu, gamma, n", [
+    (lambda params: eigenvalue(params, 0), 1, -1e300, 0),
+    (lambda params: _energies(params, range(4)), 1, -1e300, 0),
+    (saturation_index, 1, -1e300, 0),
+    # over levels 0..20000, n is the first level where the formula overflows
+    (lambda params: _energies(params, range(20001)), 1, -1e150, 13408),
+    (lambda params: _energies(params, range(20001)), 1, -1e300, 0),
+    (lambda params: _energies(params, range(20001)), 2, -1e300, 6704),
+], ids=["eigenvalue", "_energies", "saturation_index", "_energies-nu1-1e150",
+        "_energies-nu1-1e300", "_energies-nu2-1e300"])
+def test_unrepresentable_energy_raises(call, nu, gamma, n):
+    # the formula overflows, so the retained root reads E = 0, and does so
+    # without a numpy overflow warning
+    params = ModelParams(gamma=gamma, nu=nu)
+    with pytest.raises(NonPositiveEnergy, match=rf"E=0\.0 at n={n},"):
         call(params)
 
 
