@@ -31,10 +31,13 @@ from .spectrum import (DensityMode, ModelParams, _energies, eigenvalue,
 from .thermo import specific_heat_curve
 from .wavefunction import density, perey_factor, psi, weight
 
-_NORM_TOL = 1e-8
-_RESIDUAL_TOL = 1e-10
-_MOMENT_TOL = 1e-8
-_CRAMER_RAO_SLACK = 1e-10
+# validate's gates in report order, each with the bound its maximum error
+# must stay below (the residual's is relative to (n + 1/2)**2)
+_GATES = {"residual": 1e-10, "normalization": 1e-8,
+          "moment_closed_form": 1e-8, "cramer_rao_bound": 1e-10}
+# the values SweepSpec and the command line accept for these fields
+_CHOICES = {"density_mode": tuple(mode.value for mode in DensityMode),
+            "fisher_source": ("numeric", "closed")}
 _MAX_GRID_COUNT = 10**6
 
 
@@ -65,10 +68,20 @@ class SweepSpec:
             raise DomainError(f"n_max must be below 2**52, got {self.n_max}")
         if not self.gamma_list:
             raise DomainError("gamma list is empty")
-        if not all(math.isfinite(g) for g in self.gamma_list):
-            raise DomainError(f"gamma must be finite, got {self.gamma_list}")
-        if not self.permissive and any(g > 0 for g in self.gamma_list):
-            raise DomainError("gamma > 0 requires --permissive")
+        unknown = [name for name in self.outputs if name not in _OUTPUTS]
+        if unknown:
+            raise DomainError(f"unknown outputs {unknown}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise DomainError(f"{name} must be one of {allowed}, "
+                                  f"got {getattr(self, name)!r}")
+        if not 0.0 < self.eps_sat < 1.0:
+            raise DomainError(f"eps_sat must lie in (0, 1), "
+                              f"got {self.eps_sat}")
+        # ModelParams owns the coupling rules: nu, a finite gamma, and
+        # gamma > 0 only when permissive
+        for gamma in self.gamma_list:
+            self.params(gamma)
         for name in ("beta_grid", "x_grid"):
             grid = getattr(self, name)
             if not all(math.isfinite(v) for v in grid):
@@ -242,13 +255,7 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
         "tool": "edho",
         "version": __version__,
         "spec": asdict(spec),
-        "tolerances": {
-            "eps_sat": spec.eps_sat,
-            "normalization": _NORM_TOL,
-            "residual_relative": _RESIDUAL_TOL,
-            "moment_closed_form": _MOMENT_TOL,
-            "cramer_rao_slack": _CRAMER_RAO_SLACK,
-        },
+        "tolerances": {"eps_sat": spec.eps_sat, **_GATES},
         "outputs": {k: str(v) for k, v in written.items()},
         "per_output": per_output,
         "wall_time_s": time.perf_counter() - t0,
@@ -261,30 +268,15 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
 
 def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
     """Oracle suite over the sweep grid; (report lines, all-gates-passed)."""
-    lines = []
-    ok = True
-
-    def gate(name, max_err, tol):
-        nonlocal ok
-        passed = max_err < tol
-        ok = ok and passed
-        lines.append(f"CHECK {name}: max_err={max_err:.3e} tol={tol:.0e} "
-                     f"{'PASS' if passed else 'FAILED'}")
-
-    # the quadrature gates take the first 13 levels of the range and its top
-    quad_levels = list(range(spec.n_min, min(spec.n_max, spec.n_min + 12) + 1))
-    if quad_levels[-1] < spec.n_max:
-        quad_levels.append(spec.n_max)
-    res_err = norm_err = mom_err = cr_err = overlap = 0.0
-    negative = []
+    lines, ok, negative = [], True, []
+    worst, overlap = dict.fromkeys(_GATES, 0.0), 0.0
     for gamma in spec.gamma_list:
         try:
             params = spec.params(gamma)
             # positivity before the residual scan, which can stop this
             # coupling at a level with no real eigenvalue
             if gamma > 0:
-                xs = np.asarray(spec.x_grid
-                                or tuple(np.linspace(-8.0, 8.0, 321)))
+                xs = np.asarray(spec.x_grid or np.linspace(-8.0, 8.0, 321))
                 level = eigenvalue(params, spec.n_min)
                 rho = density(level, params, xs)
                 # each run of grid points with rho < 0, by its end points
@@ -293,13 +285,17 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                     runs = " and ".join(f"[{xs[a]:.4g}, {xs[b - 1]:.4g}]"
                                         for a, b in edges.reshape(-1, 2))
                     negative.append(f"gamma={gamma:g}: rho < 0 on x in {runs}")
+            # the residual scan keeps the levels the quadrature gates take:
+            # the first 13 of the range and its top
+            levels = []
             for n in range(spec.n_min, spec.n_max + 1):
                 level = eigenvalue(params, n)
-                res_err = max(res_err, abs(residual(params, n, level.energy))
-                              / (n + 0.5) ** 2)
+                err = abs(residual(params, n, level.energy)) / (n + 0.5) ** 2
+                worst["residual"] = max(worst["residual"], err)
+                if n <= spec.n_min + 12 or n == spec.n_max:
+                    levels.append(level)
             if gamma > 0:
                 continue
-            levels = [eigenvalue(params, n) for n in quad_levels]
             # non-gating: modified-product overlap of distinct levels among
             # n_min..min(n_max, n_min + 6), the first seven gated ones
             for i, lm in enumerate(levels[:7]):
@@ -316,22 +312,26 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                 window = gaussian_window(level.lam, level.n)
                 norm, _ = integrate(lambda x: density(level, params, x),
                                     window, 1e-11)
-                norm_err = max(norm_err, abs(norm - 1.0))
+                worst["normalization"] = max(worst["normalization"],
+                                             abs(norm - 1.0))
                 x2_quad, _ = integrate(
                     lambda x: np.asarray(x) ** 2 * density(level, params, x),
                     window, 1e-11)
                 _, x2_closed, _ = moments(level, params)
-                mom_err = max(mom_err, abs(x2_quad - x2_closed))
-                cr_err = max(cr_err, 1.0 - cramer_rao(level, params))
+                worst["moment_closed_form"] = max(worst["moment_closed_form"],
+                                                  abs(x2_quad - x2_closed))
+                worst["cramer_rao_bound"] = max(
+                    worst["cramer_rao_bound"], 1.0 - cramer_rao(level, params))
         except (DomainError, NonConvergence) as exc:
             ok = False
             check = "domain" if isinstance(exc, DomainError) else "convergence"
             lines.append(f"CHECK {check}: FAILED gamma={gamma:g}: {exc}")
 
-    gate("residual", res_err, _RESIDUAL_TOL)
-    gate("normalization", norm_err, _NORM_TOL)
-    gate("moment_closed_form", mom_err, _MOMENT_TOL)
-    gate("cramer_rao_bound", cr_err, _CRAMER_RAO_SLACK)
+    for name, tol in _GATES.items():
+        passed = worst[name] < tol
+        ok = ok and passed
+        lines.append(f"CHECK {name}: max_err={worst[name]:.3e} tol={tol:.0e} "
+                     f"{'PASS' if passed else 'FAILED'}")
     ok = ok and not negative
     lines += ([f"CHECK density_positivity: FAILED {where}"
                for where in negative] or ["CHECK density_positivity: PASS"])
@@ -405,8 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--x-grid", type=_parse_grid,
                         metavar="START:STOP:COUNT")
     common.add_argument("--eps-sat", type=float)
-    common.add_argument("--density-mode", choices=("paper", "nu-consistent"))
-    common.add_argument("--fisher-source", choices=("numeric", "closed"))
+    common.add_argument("--density-mode", choices=_CHOICES["density_mode"])
+    common.add_argument("--fisher-source", choices=_CHOICES["fisher_source"])
     common.add_argument("--out", dest="out_dir", help="output directory")
     common.add_argument("--config",
                         help="key = value config file; flags win on conflict")
@@ -417,9 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="edho",
         description="energy-dependent oscillator sweeps and validation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "thermo", "fisher", "cramer-rao", "shannon",
-                 "density", "perey", "validate"):
-        sub.add_parser(name, parents=[common])
+    for name in [*_OUTPUTS, "validate"]:
+        sub.add_parser(name.replace("_", "-"), parents=[common])
     return parser
 
 
@@ -432,7 +431,7 @@ def _resolve_spec(args, parser) -> SweepSpec:
     try:
         return SweepSpec(**fields)
     except DomainError as exc:
-        parser.error(str(exc))
+        parser.error(str(exc).replace("permissive=True", "--permissive"))
 
 
 def main(argv=None) -> int:

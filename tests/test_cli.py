@@ -11,7 +11,7 @@ from edho.cli import (SweepSpec, _fmt, _write_csv, main, run_sweep,
                       run_validation)
 from edho.errors import DomainError
 from edho.information import moments
-from edho.spectrum import _energies
+from edho.spectrum import _energies, eigenvalue
 from edho.thermo import specific_heat_curve
 from edho.wavefunction import psi
 
@@ -36,7 +36,10 @@ class TestRunSweep:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["version"]
         assert manifest["spec"]["gamma_list"] == [-1e-5, -0.5, -2.0]
-        assert "eps_sat" in manifest["tolerances"]
+        # eps_sat plus each validate gate, under its CHECK name
+        assert manifest["tolerances"] == {
+            "eps_sat": 1e-6, "residual": 1e-10, "normalization": 1e-8,
+            "moment_closed_form": 1e-8, "cramer_rao_bound": 1e-10}
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
@@ -285,6 +288,14 @@ class TestSpecValidation:
         {"x_grid": (-1.0, math.nan)},
         {"x_grid": (-math.inf, 0.0)},
         {"n_max": 2**52},  # n + 1/2 is no longer exact
+        {"nu": 3},
+        {"gamma_list": (-0.5, math.nan)},
+        {"density_mode": "bogus"},
+        {"fisher_source": "exact"},
+        {"outputs": ("spectrum", "bogus")},
+        {"eps_sat": 2.0},
+        {"eps_sat": -1.0},
+        {"eps_sat": math.nan},
     ])
     def test_bad_grid_or_range_rejected(self, fields):
         with pytest.raises(DomainError):
@@ -350,9 +361,10 @@ class TestMainEntry:
         "--beta-grid=-1:1:3",     # beta must be positive
         "--beta-grid=0:1:3",
         "--x-grid=-1:1:1000001",  # one point past the count limit
+        "--eps-sat=2",            # the saturation threshold lies in (0, 1)
     ])
     def test_bad_grid_is_usage_error(self, grid, tmp_path, capsys):
-        command = "thermo" if "beta" in grid else "perey"
+        command = "perey" if "x-grid" in grid else "thermo"
         with pytest.raises(SystemExit) as exc:
             main([command, "--gamma=-0.5", grid, "--out", str(tmp_path)])
         assert exc.value.code == 2
@@ -370,6 +382,8 @@ class TestMainEntry:
         except SystemExit as exc:
             result = exc.code
         assert result == code
+        if code == 2:
+            assert "--permissive" in capsys.readouterr().err
         if code == 0:
             rows = read_rows(tmp_path / "spectrum.csv")
             assert len(rows) == 3
@@ -453,6 +467,20 @@ class TestMainEntry:
         _, ok = run_validation(spec)
         assert ok
         assert gated == [*range(20, 33), 40]
+
+    def test_validate_builds_each_level_once(self, tmp_path, monkeypatch):
+        # the residual scan keeps the gated levels 0..12 and 20, so every
+        # level of 0..20 is built exactly once
+        built = []
+
+        def counting(params, n):
+            built.append(n)
+            return eigenvalue(params, n)
+
+        monkeypatch.setattr(edho.cli, "eigenvalue", counting)
+        assert main(["validate", "--gamma=-0.5", "--n-max", "20",
+                     "--out", str(tmp_path)]) == 0
+        assert built == list(range(21))
 
     def test_validate_overlap_report_takes_range_start(self, monkeypatch):
         reported = set()
