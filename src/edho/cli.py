@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import json
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -32,13 +33,18 @@ from .thermo import specific_heat_curve
 from .wavefunction import density, perey_factor, psi, weight
 
 # validate's gates in report order, each with the bound its maximum error
-# must stay below (the residual's is relative to (n + 1/2)**2)
+# must stay below (the residual's is relative to (n + 1/2)**2, the moment's
+# to max(1, <x^2>), which grows like 1/lam at strong coupling)
 _GATES = {"residual": 1e-10, "normalization": 1e-8,
           "moment_closed_form": 1e-8, "cramer_rao_bound": 1e-10}
 # the values SweepSpec and the command line accept for these fields
 _CHOICES = {"density_mode": tuple(mode.value for mode in DensityMode),
             "fisher_source": ("numeric", "closed")}
 _MAX_GRID_COUNT = 10**6
+# SweepSpec's tuple fields, each with the type and the name of its items
+_ITEMS = {"gamma_list": (numbers.Real, "number"),
+          "beta_grid": (numbers.Real, "number"),
+          "x_grid": (numbers.Real, "number"), "outputs": (str, "string")}
 
 
 @dataclass
@@ -59,6 +65,17 @@ class SweepSpec:
     out_dir: str = "edho-out"
 
     def __post_init__(self):
+        # a library caller may give one item, or any iterable of items
+        for name, (kind, noun) in _ITEMS.items():
+            value = getattr(self, name)
+            try:
+                items = (value,) if isinstance(value, str) else tuple(value)
+            except TypeError:  # not iterable: a scalar
+                items = (value,)
+            if not all(isinstance(item, kind) for item in items):
+                raise DomainError(f"{name} must be a {noun} or a sequence of "
+                                  f"them, got {value!r}")
+            setattr(self, name, items)
         if self.n_max < self.n_min or self.n_min < 0:
             raise DomainError(
                 f"empty quantum-number range [{self.n_min}, {self.n_max}]"
@@ -318,8 +335,9 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                     lambda x: np.asarray(x) ** 2 * density(level, params, x),
                     window, 1e-11)
                 _, x2_closed, _ = moments(level, params)
-                worst["moment_closed_form"] = max(worst["moment_closed_form"],
-                                                  abs(x2_quad - x2_closed))
+                worst["moment_closed_form"] = max(
+                    worst["moment_closed_form"],
+                    abs(x2_quad - x2_closed) / max(1.0, x2_closed))
                 worst["cramer_rao_bound"] = max(
                     worst["cramer_rao_bound"], 1.0 - cramer_rao(level, params))
         except (DomainError, NonConvergence) as exc:

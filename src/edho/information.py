@@ -1,11 +1,8 @@
 """Fisher information, Cramer-Rao product and Shannon entropy per level.
 
-Two routes to the Fisher information are kept deliberately separate:
-``fisher_numeric`` integrates the exact integrand (including the full
-1/f factor) and is the ground truth; ``fisher_closed`` evaluates the
-first-order closed form whose last term truncates the geometric expansion
-of 1/f, so the two agree only up to that truncation (well under 1% for
-|gamma| <= 0.1).
+Both Fisher routes evaluate the exact identity ``_fisher`` and differ only
+in its integral I_n: ``fisher_numeric`` integrates it (the ground truth),
+``fisher_closed`` truncates its series, well within 1% for |gamma| <= 0.1.
 """
 
 from __future__ import annotations
@@ -17,7 +14,8 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import gaussian_window, integrate
 from .spectrum import EnergyLevel, ModelParams
-from .wavefunction import (density, density_gradient_sq_terms,
+# unused here: bench/tracing.py wraps density_gradient_sq_terms at this site
+from .wavefunction import (density, density_gradient_sq_terms, psi, weight,
                            weight_coefficient, _brace)
 
 # tight tolerances: the Cramer-Rao product must hold to 1e-10 even where
@@ -31,41 +29,48 @@ _RHO_FLOOR = 1e-300  # rho ln rho is 0 at and below it (0 ln 0 = 0)
 _TANH_SINH_T = 3.0
 
 
-def fisher_closed(level: EnergyLevel, params: ModelParams) -> float:
-    """First-order closed form of the Fisher information.
+def _fisher(level: EnergyLevel, params: ModelParams, i_n: float) -> float:
+    """F = [4 lam (n+1/2) - g(2n**2+2n+3) + 4 g I_n] / b, exact given
+    I_n = integral of h_n(y)**2 / (1 + c y**2) dy, where y = sqrt(lam) x,
+    c = -g/lam and b = 1 + c(n+1/2) is the normalization brace."""
+    n, g = level.n, weight_coefficient(params, level)
+    return (4.0 * level.lam * (n + 0.5) - g * (2.0 * n * n + 2.0 * n + 3.0)
+            + 4.0 * g * i_n) / _brace(level, params)
 
-    Sum of the three decomposition terms over the normalization brace;
-    the 1/f term keeps only the first geometric correction.  Reduces to
-    2(2n+1) at gamma = 0.
-    """
-    n, lam = level.n, level.lam
-    g2 = 2.0 * weight_coefficient(params, level)  # full x**2 coefficient in f
-    b = _brace(level, params)
-    poly = 2.0 * n * n + 2.0 * n + 1.0
-    term_i = 4.0 * lam * (n + 0.5) - 0.5 * g2 * (poly + 2.0)
-    term_ii = 2.0 * g2
-    term_iii = g2 * g2 * (n + 0.5) / lam + g2**3 * 3.0 * poly / (8.0 * lam * lam)
-    value = (term_i + term_ii + term_iii) / b
+
+def fisher_closed(level: EnergyLevel, params: ModelParams) -> float:
+    """The Fisher identity with I_n from the series of 1/(1 + c y**2) to
+    second order in c.  Reduces to 2(2n+1) at gamma = 0."""
+    n, c = level.n, -weight_coefficient(params, level) / level.lam
+    i_n = 1.0 - c * (n + 0.5) + 0.75 * c * c * (2.0 * n * n + 2.0 * n + 1.0)
+    value = _fisher(level, params, i_n)
     if value <= 0:
         raise DomainError("closed-form Fisher non-positive: invalid regime")
     return value
 
 
 def fisher_numeric(level: EnergyLevel, params: ModelParams) -> float:
-    """Quadrature of rho (d ln rho / dx)**2 with no truncation of 1/f."""
+    """The Fisher identity with I_n by quadrature: no truncation of 1/f.
+
+    x = s sinh(u) maps the Lorentzian 1/f of width s = |g|**-1/2 to a fixed
+    strip of analyticity in u; the factor b makes the integral the O(1) I_n."""
     window = gaussian_window(level.lam, level.n)
     g = weight_coefficient(params, level)
     # the 1/f term is not integrable across a zero of f = 1 - g x**2
     if g > 0 and 1.0 / math.sqrt(g) < window:
         raise DomainError(f"weight vanishes at |x| = {1.0 / math.sqrt(g):g}, "
                           f"inside the Fisher window {window:g}")
+    if g == 0:
+        return _fisher(level, params, 1.0)
+    s, b = abs(g) ** -0.5, _brace(level, params)
 
-    def integrand(x):
-        t1, t2, t3 = density_gradient_sq_terms(level, params, x)
-        return t1 + t2 + t3
+    def integrand(u):
+        x = s * np.sinh(u)
+        return (b * s * np.cosh(u) * psi(level, params, x) ** 2
+                / weight(params, x, level))
 
-    value, _ = integrate(integrand, window, _FISHER_REL_TOL)
-    return value
+    i_n, _ = integrate(integrand, math.asinh(window / s), _FISHER_REL_TOL)
+    return _fisher(level, params, i_n)
 
 
 def moments(level: EnergyLevel, params: ModelParams) -> tuple[float, float, float]:

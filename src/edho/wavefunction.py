@@ -81,18 +81,13 @@ def psi(level: EnergyLevel, params: ModelParams, x):
     return scale * hn
 
 
-def _psi_pair(level: EnergyLevel, params: ModelParams, x):
-    """(psi, psi') at x from one Hermite recurrence pass."""
+def psi_prime(level: EnergyLevel, params: ModelParams, x):
+    """Analytic derivative of ``psi`` with respect to x."""
     a = math.sqrt(level.lam)
     scale = math.sqrt(a / _brace(level, params))
     y = a * np.asarray(x, dtype=float)
     hn, hn1 = hermite_fn_pair(level.n, y)
-    return scale * hn, scale * a * (math.sqrt(2.0 * level.n) * hn1 - y * hn)
-
-
-def psi_prime(level: EnergyLevel, params: ModelParams, x):
-    """Analytic derivative of ``psi`` with respect to x."""
-    return _psi_pair(level, params, x)[1]
+    return scale * a * (math.sqrt(2.0 * level.n) * hn1 - y * hn)
 
 
 def density(level: EnergyLevel, params: ModelParams, x):
@@ -112,7 +107,7 @@ def density_gradient_sq_terms(level: EnergyLevel, params: ModelParams, x):
     """
     g = weight_coefficient(params, level)
     x = np.asarray(x, dtype=float)
-    p, pp = _psi_pair(level, params, x)
+    p, pp = psi(level, params, x), psi_prime(level, params, x)
     f = 1.0 - g * x * x
     fp = -2.0 * g * x
     return 4.0 * f * pp * pp, 4.0 * p * pp * fp, p * p * fp * fp / f

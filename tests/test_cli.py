@@ -9,8 +9,8 @@ import pytest
 import edho.cli
 from edho.cli import (SweepSpec, _fmt, _write_csv, main, run_sweep,
                       run_validation)
-from edho.errors import DomainError
-from edho.information import moments
+from edho.errors import DomainError, NonConvergence
+from edho.information import cramer_rao, moments
 from edho.spectrum import _energies, eigenvalue
 from edho.thermo import specific_heat_curve
 from edho.wavefunction import psi
@@ -301,6 +301,44 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             SweepSpec(**fields)
 
+    @pytest.mark.parametrize("fields, want", [
+        ({"x_grid": np.linspace(-1.0, 1.0, 5)},
+         {"x_grid": (-1.0, -0.5, 0.0, 0.5, 1.0)}),
+        ({"beta_grid": np.array([0.5, 1.0])}, {"beta_grid": (0.5, 1.0)}),
+        ({"gamma_list": np.array([-0.5, -0.1])},
+         {"gamma_list": (-0.5, -0.1)}),
+        ({"gamma_list": -0.5}, {"gamma_list": (-0.5,)}),
+        ({"gamma_list": [-1, -0.5]}, {"gamma_list": (-1, -0.5)}),
+        ({"outputs": "perey"}, {"outputs": ("perey",)}),
+        ({"outputs": ["fisher", "shannon"]},
+         {"outputs": ("fisher", "shannon")}),
+    ])
+    def test_library_input_becomes_tuples(self, fields, want):
+        spec = SweepSpec(**fields)
+        for name, value in want.items():
+            assert type(getattr(spec, name)) is tuple
+            assert getattr(spec, name) == value
+
+    @pytest.mark.parametrize("fields", [
+        {"gamma_list": None},
+        {"gamma_list": "-0.5"},
+        {"gamma_list": np.array(-0.5)},
+        {"gamma_list": np.array([[-0.5]])},
+        {"x_grid": ("0", "1")},
+        {"outputs": None},
+    ])
+    def test_library_input_of_wrong_type_rejected(self, fields):
+        with pytest.raises(DomainError):
+            SweepSpec(**fields)
+
+    def test_numpy_grid_sweeps(self, tmp_path):
+        spec = SweepSpec(gamma_list=np.array([-0.3]),
+                         x_grid=np.linspace(-1.0, 1.0, 5), outputs="perey",
+                         out_dir=str(tmp_path))
+        rows = read_rows(run_sweep(spec)["perey"])
+        assert [float(r["x"]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        json.loads((tmp_path / "manifest.json").read_text())
+
 
 class TestMainEntry:
     def test_spectrum_subcommand(self, tmp_path, capsys):
@@ -445,8 +483,14 @@ class TestMainEntry:
         assert f"density_positivity: {positivity}" in out
         assert sorted(gammas) == gated
 
-    def test_validate_non_convergence_is_failed_gate(self, tmp_path, capsys):
-        # the Fisher integral at gamma = -1e6, n = 0 never meets 1e-12
+    def test_validate_non_convergence_is_failed_gate(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def failing(level, params):
+            if params.gamma == -1e6:
+                raise NonConvergence("no convergence after 18 refinements")
+            return cramer_rao(level, params)
+
+        monkeypatch.setattr(edho.cli, "cramer_rao", failing)
         code = main(["validate", "--gamma=-1e6,-0.5", "--n-max", "0",
                      "--out", str(tmp_path)])
         out = capsys.readouterr().out
@@ -454,6 +498,33 @@ class TestMainEntry:
         assert "CHECK convergence: FAILED gamma=-1e+06" in out
         assert "gamma=-0.5" not in out
         assert "CHECK cramer_rao_bound" in out
+
+    @pytest.mark.parametrize("argv", [
+        # the Fisher integral at gamma = -1e6, n = 0 converges
+        ["--gamma=-1e6,-0.5", "--n-max", "0"],
+        # <x^2> is about 6e7 at n = 200, where 1e-8 is about one ulp
+        ["--gamma=-1e3", "--n-max", "200"],
+        ["--gamma=-0.5,-1e6", "--n-max", "6"],
+    ])
+    def test_validate_passes_at_strong_coupling(self, argv, tmp_path, capsys):
+        code = main(["validate", *argv, "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0 and "FAILED" not in out
+
+    @pytest.mark.parametrize("gamma, n_max", [(-0.5, 0), (-1e3, 200)])
+    def test_validate_moment_gate_fails_relative_error(self, gamma, n_max,
+                                                       monkeypatch):
+        # 1e-7 relative is 1e-7 <x^2> absolute, over the bound at any scale
+        def off(level, params):
+            mean, second, variance = moments(level, params)
+            return mean, second * (1.0 + 1e-7), variance
+
+        monkeypatch.setattr(edho.cli, "moments", off)
+        lines, ok = run_validation(SweepSpec(gamma_list=(gamma,), n_max=n_max))
+        assert not ok
+        gate = next(line for line in lines
+                    if line.startswith("CHECK moment_closed_form"))
+        assert gate.endswith("FAILED")
 
     def test_validate_gates_range_start_and_top(self, monkeypatch):
         gated = []

@@ -10,6 +10,7 @@ from edho import (DensityMode, DomainError, ModelParams, cramer_rao, density,
                   eigenvalue, entropy_density, fisher_closed, fisher_numeric,
                   gaussian_window, integrate, moments, shannon_entropy)
 from edho.information import _hermite_zeros
+from fisher_oracle import fisher_by_quad
 from shannon_oracle import shannon_by_quad
 
 SWEEP_GAMMAS = (0.0, -0.1, -0.3, -0.5, -1.0)
@@ -18,11 +19,22 @@ SWEEP_GAMMAS = (0.0, -0.1, -0.3, -0.5, -1.0)
 class TestFisher:
     def test_weight_free_closed_form(self):
         params = ModelParams(gamma=0.0)
-        for n in (0, 1, 4, 9):
+        for n in (*range(10), 700):
             level = eigenvalue(params, n)
             assert fisher_closed(level, params) == 2 * (2 * n + 1)
-            assert fisher_numeric(level, params) == pytest.approx(
-                2 * (2 * n + 1), abs=1e-8)
+            assert fisher_numeric(level, params) == 2 * (2 * n + 1)
+
+    # the n = 0 and n = 1 rows are where F is most sensitive to I_n
+    @pytest.mark.parametrize("gamma,n,nu,mode", [
+        *(pytest.param(gamma, n, 1, "paper", id=f"{gamma}-{n}")
+          for gamma, n in ((-1e6, 0), (-1e6, 2), (-1e4, 1), (-1e4, 60),
+                           (-1e3, 5), (-1e3, 200), (-30, 501))),
+        (-1e-2, 9, 2, "paper"), (-5e-3, 12, 2, "nu-consistent")])
+    def test_against_quad_at_strong_coupling(self, gamma, n, nu, mode):
+        params = ModelParams(gamma=gamma, nu=nu, density_mode=DensityMode(mode))
+        level = eigenvalue(params, n)
+        assert fisher_numeric(level, params) == pytest.approx(
+            fisher_by_quad(level, params), rel=1e-12)
 
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("gamma", [-0.05, -0.1])
@@ -91,7 +103,8 @@ class TestFisher:
         assert 0 < fisher_numeric(eigenvalue(params, 0), params) < math.inf
 
     def test_one_hermite_pass_per_abscissa(self, monkeypatch):
-        # psi and psi' come from one recurrence pass at each abscissa
+        # the integrand of I_n needs psi alone: one recurrence pass at each
+        # abscissa
         hermite_points, quad_points = [], []
         hermite_fn_pair = edho.wavefunction.hermite_fn_pair
 
