@@ -16,9 +16,9 @@ import json
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product, repeat
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -41,10 +41,19 @@ _GATES = {"residual": 1e-10, "normalization": 1e-8,
 _CHOICES = {"density_mode": tuple(mode.value for mode in DensityMode),
             "fisher_source": ("numeric", "closed")}
 _MAX_GRID_COUNT = 10**6
-# SweepSpec's tuple fields, each with the type and the name of its items
-_ITEMS = {"gamma_list": (numbers.Real, "number"),
-          "beta_grid": (numbers.Real, "number"),
-          "x_grid": (numbers.Real, "number"), "outputs": (str, "string")}
+# SweepSpec's fields -> (accepted type, stored type, what a value must be);
+# a tuple field holds one or more items of that type; a bool is no number
+_TYPES = {"nu": (numbers.Integral, int, "an integer"),
+          "n_min": (numbers.Integral, int, "an integer"),
+          "n_max": (numbers.Integral, int, "an integer"),
+          "eps_sat": (numbers.Real, float, "a number"),
+          "permissive": ((bool, np.bool_), bool, "a bool"),
+          "out_dir": ((str, PurePath), str, "a string or a path"),
+          "gamma_list": (numbers.Real, float, "numbers"),
+          "beta_grid": (numbers.Real, float, "numbers"),
+          "x_grid": (numbers.Real, float, "numbers"),
+          "outputs": (str, str, "strings")}
+_TUPLES = ("gamma_list", "beta_grid", "x_grid", "outputs")
 
 
 @dataclass
@@ -65,17 +74,22 @@ class SweepSpec:
     out_dir: str = "edho-out"
 
     def __post_init__(self):
-        # a library caller may give one item, or any iterable of items
-        for name, (kind, noun) in _ITEMS.items():
+        # a library caller may give numpy values, a path, and for a tuple
+        # field one item or any iterable of items; each value is stored as
+        # its plain Python type, which the manifest's json can write
+        for name, (kind, plain, noun) in _TYPES.items():
             value = getattr(self, name)
             try:
-                items = (value,) if isinstance(value, str) else tuple(value)
+                items = (tuple(value) if name in _TUPLES
+                         and not isinstance(value, str) else (value,))
             except TypeError:  # not iterable: a scalar
                 items = (value,)
-            if not all(isinstance(item, kind) for item in items):
-                raise DomainError(f"{name} must be a {noun} or a sequence of "
-                                  f"them, got {value!r}")
-            setattr(self, name, items)
+            if not all(isinstance(item, kind)
+                       and (plain is bool or not isinstance(item, bool))
+                       for item in items):
+                raise DomainError(f"{name} must be {noun}, got {value!r}")
+            items = tuple(map(plain, items))
+            setattr(self, name, items if name in _TUPLES else items[0])
         if self.n_max < self.n_min or self.n_min < 0:
             raise DomainError(
                 f"empty quantum-number range [{self.n_min}, {self.n_max}]"
@@ -114,28 +128,30 @@ class SweepSpec:
                            permissive=self.permissive)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return ""
-    return str(value)
+def _fmt(value):
+    # csv.writer prints None as an empty field and the rest through str()
+    return format(value, ".17g") if isinstance(value, float) else value
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Rows of numbers and an empty error go through one template, which
+def _write_csv(path: Path, header: list[str], rows) -> dict[str, int]:
+    """Write the rows; returns their count and that of the error rows.
+
+    Rows of numbers and an empty error go through one template, which
     prints exactly what ``_fmt`` and ``csv.writer`` print for them (their
     integers stay below 2**52, see SweepSpec); rows with an error or a
     blank value keep the writer, whose quoting an error text may need."""
     template = ",".join(["%.17g"] * (len(header) - 1)) + ",%s\r\n"
+    n_rows = n_errors = 0
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
+        for n_rows, row in enumerate(rows, 1):
             if row[-1] or None in row:
+                n_errors += bool(row[-1])
                 writer.writerow([_fmt(v) for v in row])
             else:
                 fh.write(template % row)
+    return {"rows": n_rows, "error_rows": n_errors}
 
 
 _DEFAULT_BETAS = tuple(np.linspace(0.1, 10.0, 50))
@@ -220,14 +236,13 @@ _OUTPUTS = {
 }
 
 
-def _rows(spec: SweepSpec, name: str, counts: dict):
-    """CSV rows of one output, counted into ``counts``, yielded as they are
-    made.  The cells of a coupling are its whole first axis, or each value
-    of that axis; a point's keys are its first-axis value, crossed with
-    the later axes for a per-value cell.  A cell that raises gives one
-    error row per point, with its keys and blank values; a whole-axis cell
-    is first retried one point at a time, so only the points that fail
-    become error rows."""
+def _rows(spec: SweepSpec, name: str):
+    """CSV rows of one output, yielded as they are made.  The cells of a
+    coupling are its whole first axis, or each value of that axis; a
+    point's keys are its first-axis value, crossed with the later axes for
+    a per-value cell.  A cell that raises gives one error row per point,
+    with its keys and blank values; a whole-axis cell is first retried one
+    point at a time, so only the points that fail become error rows."""
     keys, columns, compute, whole = _OUTPUTS[name]
     first, *rest = (_AXES[key](spec) for key in keys)
     nu, blank = spec.nu, (None,) * len(columns)
@@ -242,11 +257,8 @@ def _rows(spec: SweepSpec, name: str, counts: dict):
                 yield from cell_rows(gamma, cell[i:i + 1])
             return
         points = zip(cell) if whole else product([cell], *rest)
-        rows = 0
-        for rows, (key, vals) in enumerate(zip(points, values), 1):
+        for key, vals in zip(points, values):
             yield (nu, gamma, *key, *vals, error)
-        counts["rows"] += rows
-        counts["error_rows"] += rows if error else 0
 
     for gamma in spec.gamma_list:
         for cell in [first] if whole else first:
@@ -262,16 +274,15 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
     for name in spec.outputs:
         t_out = time.perf_counter()
         keys, columns, *_ = _OUTPUTS[name]
-        counts = {"rows": 0, "error_rows": 0}
         path = out_dir / f"{name}.csv"
-        _write_csv(path, ["nu", "gamma", *keys, *columns, "error"],
-                   _rows(spec, name, counts))
+        counts = _write_csv(path, ["nu", "gamma", *keys, *columns, "error"],
+                            _rows(spec, name))
         per_output[name] = {**counts, "wall_s": time.perf_counter() - t_out}
         written[name] = path
     manifest = {
         "tool": "edho",
         "version": __version__,
-        "spec": asdict(spec),
+        "spec": vars(spec),
         "tolerances": {"eps_sat": spec.eps_sat, **_GATES},
         "outputs": {k: str(v) for k, v in written.items()},
         "per_output": per_output,
@@ -410,33 +421,29 @@ def _config_flags(path: str, parser) -> list[str]:
 
 def _build_parser() -> argparse.ArgumentParser:
     # unset flags stay out of the namespace, so SweepSpec's defaults apply
-    common = argparse.ArgumentParser(add_help=False,
-                                     argument_default=argparse.SUPPRESS)
-    common.add_argument("--nu", type=int, choices=(1, 2))
-    common.add_argument("--gamma", dest="gamma_list", type=_parse_gammas,
+    parser = argparse.ArgumentParser(
+        prog="edho", argument_default=argparse.SUPPRESS,
+        description="energy-dependent oscillator sweeps and validation")
+    parser.add_argument("command", choices=[name.replace("_", "-") for name
+                                            in [*_OUTPUTS, "validate"]])
+    parser.add_argument("--nu", type=int, choices=(1, 2))
+    parser.add_argument("--gamma", dest="gamma_list", type=_parse_gammas,
                         metavar="G1,G2,...",
                         help="coupling list (use --gamma=-0.5,-1 form)")
-    common.add_argument("--n-min", type=int)
-    common.add_argument("--n-max", type=int)
-    common.add_argument("--beta-grid", type=_parse_grid,
+    parser.add_argument("--n-min", type=int)
+    parser.add_argument("--n-max", type=int)
+    parser.add_argument("--beta-grid", type=_parse_grid,
                         metavar="START:STOP:COUNT")
-    common.add_argument("--x-grid", type=_parse_grid,
+    parser.add_argument("--x-grid", type=_parse_grid,
                         metavar="START:STOP:COUNT")
-    common.add_argument("--eps-sat", type=float)
-    common.add_argument("--density-mode", choices=_CHOICES["density_mode"])
-    common.add_argument("--fisher-source", choices=_CHOICES["fisher_source"])
-    common.add_argument("--out", dest="out_dir", help="output directory")
-    common.add_argument("--config",
+    parser.add_argument("--eps-sat", type=float)
+    parser.add_argument("--density-mode", choices=_CHOICES["density_mode"])
+    parser.add_argument("--fisher-source", choices=_CHOICES["fisher_source"])
+    parser.add_argument("--out", dest="out_dir", help="output directory")
+    parser.add_argument("--config",
                         help="key = value config file; flags win on conflict")
-    common.add_argument("--permissive", action="store_true",
+    parser.add_argument("--permissive", action="store_true",
                         help="allow gamma > 0 (exploratory)")
-
-    parser = argparse.ArgumentParser(
-        prog="edho",
-        description="energy-dependent oscillator sweeps and validation")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_OUTPUTS, "validate"]:
-        sub.add_parser(name.replace("_", "-"), parents=[common])
     return parser
 
 
@@ -458,8 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "config" in args:
         # the config's flags go first, so the command line's win on conflict
-        args = parser.parse_args([argv[0], *_config_flags(args.config, parser),
-                                  *argv[1:]])
+        args = parser.parse_args([*_config_flags(args.config, parser), *argv])
     spec = _resolve_spec(args, parser)
     if args.command == "validate":
         lines, ok = run_validation(spec)

@@ -96,13 +96,9 @@ def cramer_rao(level: EnergyLevel, params: ModelParams) -> float:
 
 def entropy_density(level: EnergyLevel, params: ModelParams, x):
     """Pointwise rho ln rho, with the 0 ln 0 = 0 convention below _RHO_FLOOR."""
-    rho = np.asarray(density(level, params, x), dtype=float)
-    scalar = rho.ndim == 0
-    rho = np.atleast_1d(rho)
-    out = np.zeros_like(rho)
-    mask = rho > _RHO_FLOOR
-    out[mask] = rho[mask] * np.log(rho[mask])
-    return float(out[0]) if scalar else out
+    rho = density(level, params, x)
+    return np.where(rho > _RHO_FLOOR,
+                    rho * np.log(np.maximum(rho, _RHO_FLOOR)), 0.0)[()]
 
 
 def _hermite_zeros(n: int) -> np.ndarray:

@@ -25,13 +25,11 @@ def hermite_fn_pair(n: int, y):
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
     y_arr = np.asarray(y, dtype=float)
-    h_prev = np.zeros_like(y_arr)
+    h_prev = np.zeros_like(y_arr)[()]
     h = math.pi ** -0.25 * np.exp(-0.5 * y_arr * y_arr)
     for k in range(n):
         h, h_prev = (y_arr * math.sqrt(2.0 / (k + 1)) * h
                      - math.sqrt(k / (k + 1)) * h_prev), h
-    if np.ndim(y) == 0:
-        return float(h), float(h_prev)
     return h, h_prev
 
 
@@ -46,8 +44,7 @@ def weight(params: ModelParams, x, level: EnergyLevel | None = None):
     """Density weight f(x) = 1 - g*x**2 (>= 1 everywhere for gamma <= 0)."""
     g = weight_coefficient(params, level)
     x = np.asarray(x, dtype=float)
-    f = 1.0 - g * x * x
-    return float(f) if f.ndim == 0 else f
+    return 1.0 - g * x * x
 
 
 def perey_factor(params: ModelParams, x):
@@ -55,11 +52,10 @@ def perey_factor(params: ModelParams, x):
 
     >= 1 for gamma <= 0, with equality only at x = 0 (or gamma = 0).
     """
-    f = np.asarray(weight(params, x))
+    f = weight(params, x)
     if np.any(f < 0):
         raise DomainError("weight went negative (gamma > 0 regime)")
-    out = np.sqrt(f)
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(f)
 
 
 def _brace(level: EnergyLevel, params: ModelParams) -> float:

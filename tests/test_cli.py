@@ -128,7 +128,8 @@ class TestRunSweep:
             (2, 0.25, np.int64(8), 5e-324, -1.7976931348623157e308, ""),
         ]
         header = ["nu", "gamma", "n", "a", "b", "error"]
-        _write_csv(tmp_path / "out.csv", header, iter(rows))
+        counts = _write_csv(tmp_path / "out.csv", header, iter(rows))
+        assert counts == {"rows": 7, "error_rows": 2}
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(header)
@@ -326,10 +327,46 @@ class TestSpecValidation:
         {"gamma_list": np.array([[-0.5]])},
         {"x_grid": ("0", "1")},
         {"outputs": None},
+        {"gamma_list": (-0.5, False)},
+        {"n_max": 5.0},
+        {"n_max": None},
+        {"n_max": True},
+        {"n_min": "1"},
+        {"nu": 1.0},
+        {"eps_sat": "0.5"},
+        {"permissive": 1},
+        {"permissive": "yes"},
+        {"out_dir": None},
     ])
     def test_library_input_of_wrong_type_rejected(self, fields):
         with pytest.raises(DomainError):
             SweepSpec(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"gamma_list": np.array([-1, 0])},
+        {"x_grid": np.arange(-2, 3)},
+        {"nu": np.int64(1)},
+        {"n_max": np.int32(2)},
+        {"eps_sat": np.float32(1e-6)},
+        {"permissive": np.True_},
+    ], ids=["path", "int-array", "arange", "int64", "int32", "float32",
+            "numpy-bool"])
+    def test_library_input_is_stored_plain(self, fields, tmp_path):
+        # out_dir is a Path in every case
+        spec = SweepSpec(**{"n_max": 2, "outputs": ("spectrum", "perey"),
+                            "out_dir": tmp_path / "out", **fields})
+        plain = {"nu": int, "n_min": int, "n_max": int, "eps_sat": float,
+                 "density_mode": str, "fisher_source": str,
+                 "permissive": bool, "out_dir": str, "gamma_list": float,
+                 "beta_grid": float, "x_grid": float, "outputs": str}
+        for name, value in vars(spec).items():
+            items = value if isinstance(value, tuple) else (value,)
+            assert all(type(item) is plain[name] for item in items), name
+        run_sweep(spec)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["spec"]["out_dir"] == str(tmp_path / "out")
+        assert manifest["spec"] == json.loads(json.dumps(vars(spec)))
 
     def test_numpy_grid_sweeps(self, tmp_path):
         spec = SweepSpec(gamma_list=np.array([-0.3]),
@@ -358,17 +395,39 @@ class TestMainEntry:
             main(["spectrum", "--frequency", "3"])
         assert exc.value.code == 2
 
+    def test_flags_before_command(self, tmp_path):
+        assert main(["--gamma=-0.5", "--n-max", "2", "spectrum",
+                     "--out", str(tmp_path)]) == 0
+        assert len(read_rows(tmp_path / "spectrum.csv")) == 3
+
+    def test_help_lists_every_command_and_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in ("spectrum", "thermo", "fisher", "cramer-rao",
+                        "shannon", "density", "perey", "validate"):
+            assert command in out
+        for flag in ("--nu", "--gamma", "--n-min", "--n-max", "--beta-grid",
+                     "--x-grid", "--eps-sat", "--density-mode",
+                     "--fisher-source", "--out", "--config", "--permissive"):
+            assert flag in out
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             "gamma = -0.25\nn_max = 3\nout = {}\n# comment line\n".format(
                 tmp_path / "from-config"))
-        code = main(["spectrum", "--config", str(cfg),
-                     "--n-max", "7"])
-        assert code == 0
-        rows = read_rows(tmp_path / "from-config" / "spectrum.csv")
-        assert len(rows) == 8  # flag n_max=7 beats config n_max=3
-        assert all(float(r["gamma"]) == -0.25 for r in rows)
+        config = ["--config", str(cfg)]
+        # the config file may come after the command or before it
+        for argv in (["spectrum", *config], [*config, "spectrum"]):
+            csv_path = tmp_path / "from-config" / "spectrum.csv"
+            csv_path.unlink(missing_ok=True)
+            code = main([*argv, "--n-max", "7"])
+            assert code == 0
+            rows = read_rows(csv_path)
+            assert len(rows) == 8  # flag n_max=7 beats config n_max=3
+            assert all(float(r["gamma"]) == -0.25 for r in rows)
 
     @pytest.mark.parametrize("command, line", [
         ("spectrum", "n_max = abc"),

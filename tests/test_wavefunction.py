@@ -5,8 +5,9 @@ import pytest
 from scipy.special import eval_hermite
 
 from edho import (DensityMode, DomainError, ModelParams, density,
-                  density_gradient_sq_terms, eigenvalue, gaussian_window,
-                  integrate, perey_factor, psi, psi_prime, weight)
+                  density_gradient_sq_terms, eigenvalue, entropy_density,
+                  gaussian_window, integrate, perey_factor, psi, psi_prime,
+                  weight)
 from edho.wavefunction import hermite_fn_pair
 
 
@@ -207,3 +208,28 @@ class TestPereyFactor:
         params = ModelParams(gamma=0.5, permissive=True)
         with pytest.raises(DomainError):
             perey_factor(params, 10.0)
+
+
+_PARAMS = ModelParams(gamma=-0.5, nu=2)
+_LEVEL = eigenvalue(_PARAMS, 3)
+# kernel -> its outputs at x, as a tuple
+SCALAR_KERNELS = {
+    "hermite_fn_pair": lambda x: hermite_fn_pair(3, x),
+    "hermite_fn_pair-n0": lambda x: hermite_fn_pair(0, x),
+    "weight": lambda x: (weight(_PARAMS, x, _LEVEL),),
+    "perey_factor": lambda x: (perey_factor(_PARAMS, x),),
+    "psi": lambda x: (psi(_LEVEL, _PARAMS, x),),
+    "density": lambda x: (density(_LEVEL, _PARAMS, x),),
+    "entropy_density": lambda x: (entropy_density(_LEVEL, _PARAMS, x),),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(SCALAR_KERNELS))
+def test_scalar_input_gives_the_array_element(kernel):
+    # x = 40 underflows the density, so rho ln rho takes its 0 ln 0 = 0 rule
+    xs = np.array([-7.5, -1.25, 0.0, 0.5, 3.0, 40.0])
+    arrays = SCALAR_KERNELS[kernel](xs)
+    for i, x in enumerate(xs):
+        for value, array in zip(SCALAR_KERNELS[kernel](float(x)), arrays):
+            assert np.ndim(value) == 0 and isinstance(value, float)
+            assert value == array[i]
