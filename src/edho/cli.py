@@ -88,7 +88,11 @@ class SweepSpec:
                        and (plain is bool or not isinstance(item, bool))
                        for item in items):
                 raise DomainError(f"{name} must be {noun}, got {value!r}")
-            items = tuple(map(plain, items))
+            try:
+                items = tuple(map(plain, items))
+            except OverflowError:  # an integer past the float range
+                raise DomainError(f"{name} must be {noun} in the float "
+                                  "range") from None
             setattr(self, name, items if name in _TUPLES else items[0])
         if self.n_max < self.n_min or self.n_min < 0:
             raise DomainError(
@@ -97,6 +101,10 @@ class SweepSpec:
         if self.n_max >= 2**52:
             # past 2**52, n + 1/2 is no longer exact in floating point
             raise DomainError(f"n_max must be below 2**52, got {self.n_max}")
+        if self.n_max - self.n_min >= _MAX_GRID_COUNT:
+            raise DomainError(f"quantum-number range [{self.n_min}, "
+                              f"{self.n_max}] holds more than "
+                              f"{_MAX_GRID_COUNT} levels")
         if not self.gamma_list:
             raise DomainError("gamma list is empty")
         unknown = [name for name in self.outputs if name not in _OUTPUTS]
@@ -313,15 +321,17 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                     runs = " and ".join(f"[{xs[a]:.4g}, {xs[b - 1]:.4g}]"
                                         for a, b in edges.reshape(-1, 2))
                     negative.append(f"gamma={gamma:g}: rho < 0 on x in {runs}")
-            # the residual scan keeps the levels the quadrature gates take:
-            # the first 13 of the range and its top
-            levels = []
-            for n in range(spec.n_min, spec.n_max + 1):
-                level = eigenvalue(params, n)
-                err = abs(residual(params, n, level.energy)) / (n + 0.5) ** 2
-                worst["residual"] = max(worst["residual"], err)
-                if n <= spec.n_min + 12 or n == spec.n_max:
-                    levels.append(level)
+            # the residual at every level of the range, in one array pass
+            ns = np.arange(spec.n_min, spec.n_max + 1)
+            err = abs(residual(params, ns, _energies(params, ns))) / (
+                ns + 0.5) ** 2
+            # fmax skips a level whose residual overflows to nan
+            worst["residual"] = max(worst["residual"],
+                                    float(np.fmax.reduce(err)))
+            # the levels the quadrature gates take: the first 13 and the top
+            levels = [eigenvalue(params, n) for n in
+                      [*range(spec.n_min, min(spec.n_min + 13, spec.n_max)),
+                       spec.n_max]]
             if gamma > 0:
                 continue
             # non-gating: modified-product overlap of distinct levels among

@@ -88,33 +88,20 @@ def _formula(params: ModelParams, ns: np.ndarray) -> np.ndarray:
             # quadratic formula when |gamma| * n is large
             return s / (q - g * s / 2.0)
         return g * s / 2.0 + q
-    disc = 4.0 - g * (2.0 * ns + 1.0) ** 2
-    if np.any(disc <= 0):
-        raise DomainError(
-            f"4 - gamma*(2n+1)**2 must stay positive (gamma={g})"
-        )
-    return (2.0 * ns + 1.0) / np.sqrt(disc)
+    # no real root once 4 - gamma*(2n+1)**2 < 0: E reads nan (inf at 0)
+    return (2.0 * ns + 1.0) / np.sqrt(4.0 - g * (2.0 * ns + 1.0) ** 2)
 
 
 def _energies(params: ModelParams, ns) -> np.ndarray:
     """Vectorized positive-branch eigenvalues for an array of quantum numbers.
 
     NonPositiveEnergy names the first level whose energy is not positive
-    and finite (at nu = 1 gamma**2 overflows past |gamma| ~ 1.3e154, and
-    the root then reads 0).
+    and finite: at nu = 1 gamma**2 overflows past |gamma| ~ 1.3e154 and the
+    root reads 0; at nu = 2, gamma > 0 a level with no real root reads nan.
+    Neither is also warned by numpy.
     """
     ns = np.asarray(ns, dtype=float)
-    g = params.gamma
-    # Every intermediate of the formula stays below 4 max(g^2, |g|, 1) times
-    # (n + 1/2)^2, so only past that bound can it overflow.  There E reads 0
-    # and is raised below, so the overflow is not also warned.  The bound is
-    # checked first, from Python floats: np.errstate (and a reduction over a
-    # 0-d array) costs about 1.7 us, 20% of a scalar level.
-    top = (float(ns) if ns.ndim == 0 else float(ns.max(initial=0.0))) + 0.5
-    if 4.0 * max(g * g, abs(g), 1.0) * top * top > 1e300:
-        with np.errstate(over="ignore"):
-            energies = _formula(params, ns)
-    else:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         energies = _formula(params, ns)
     # min and max rather than a mask: no temporaries on a large level set
     if energies.size and not (energies.min() > 0
@@ -122,7 +109,7 @@ def _energies(params: ModelParams, ns) -> np.ndarray:
         i = int(np.argmin(np.isfinite(energies) & (energies > 0)))
         raise NonPositiveEnergy(
             f"retained branch gave E={float(energies.flat[i])} at "
-            f"n={int(ns.flat[i])}, gamma={g}"
+            f"n={int(ns.flat[i])}, gamma={params.gamma}"
         )
     return energies
 

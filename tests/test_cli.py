@@ -11,7 +11,7 @@ from edho.cli import (SweepSpec, _fmt, _write_csv, main, run_sweep,
                       run_validation)
 from edho.errors import DomainError, NonConvergence
 from edho.information import cramer_rao, moments
-from edho.spectrum import _energies, eigenvalue
+from edho.spectrum import _energies, eigenvalue, residual
 from edho.thermo import specific_heat_curve
 from edho.wavefunction import psi
 
@@ -297,10 +297,17 @@ class TestSpecValidation:
         {"eps_sat": 2.0},
         {"eps_sat": -1.0},
         {"eps_sat": math.nan},
+        {"n_max": 10**6},  # one level past the count limit
+        {"n_min": 5, "n_max": 10**6 + 5},
     ])
     def test_bad_grid_or_range_rejected(self, fields):
         with pytest.raises(DomainError):
             SweepSpec(**fields)
+
+    @pytest.mark.parametrize("n_min", [0, 5])
+    def test_range_at_count_limit_accepted(self, n_min):
+        spec = SweepSpec(n_min=n_min, n_max=n_min + 10**6 - 1)
+        assert spec.n_max - spec.n_min + 1 == 10**6
 
     @pytest.mark.parametrize("fields, want", [
         ({"x_grid": np.linspace(-1.0, 1.0, 5)},
@@ -337,6 +344,9 @@ class TestSpecValidation:
         {"permissive": 1},
         {"permissive": "yes"},
         {"out_dir": None},
+        {"gamma_list": [-10**400]},  # past the float range
+        {"eps_sat": 10**400},
+        {"beta_grid": [1, 10**400]},
     ])
     def test_library_input_of_wrong_type_rejected(self, fields):
         with pytest.raises(DomainError):
@@ -469,6 +479,19 @@ class TestMainEntry:
         assert "error:" in err and "Traceback" not in err
         assert not (tmp_path / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "validate"])
+    def test_huge_level_range_is_usage_error(self, command, tmp_path, capsys):
+        # below 2**52 but far past the count limit: refused before any level
+        # is computed or any CSV written
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--gamma=-0.5", "--n-max", str(2**52 - 1),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "levels" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("answer, code", [("yes", 0), ("no", 2)])
     def test_config_permissive(self, answer, code, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -599,18 +622,36 @@ class TestMainEntry:
         assert gated == [*range(20, 33), 40]
 
     def test_validate_builds_each_level_once(self, tmp_path, monkeypatch):
-        # the residual scan keeps the gated levels 0..12 and 20, so every
-        # level of 0..20 is built exactly once
-        built = []
+        # the residual scan takes all of 0..20 in one array call per
+        # coupling, and only the gated levels 0..12 and 20 are built
+        built, scanned = [], []
 
         def counting(params, n):
             built.append(n)
             return eigenvalue(params, n)
 
+        def scanning(params, n, energy):
+            scanned.append((params.gamma, list(n)))
+            return residual(params, n, energy)
+
         monkeypatch.setattr(edho.cli, "eigenvalue", counting)
-        assert main(["validate", "--gamma=-0.5", "--n-max", "20",
+        monkeypatch.setattr(edho.cli, "residual", scanning)
+        assert main(["validate", "--gamma=-0.5,-0.25", "--n-max", "20",
                      "--out", str(tmp_path)]) == 0
-        assert built == list(range(21))
+        assert built == [*range(13), 20] * 2
+        assert scanned == [(-0.5, list(range(21))), (-0.25, list(range(21)))]
+
+    def test_validate_residual_skips_a_nan_level(self, monkeypatch):
+        # a residual that overflows to nan at one level (E**2 past the float
+        # range at a huge permissive gamma) must not hide the other levels'
+        def nan_at_top(params, n, energy):
+            return np.where(np.asarray(n) == 12, math.nan, 1.0)
+
+        monkeypatch.setattr(edho.cli, "residual", nan_at_top)
+        lines, ok = run_validation(SweepSpec(gamma_list=(-0.5,), n_max=12))
+        assert not ok
+        # the worst level is n = 0: 1 / (0 + 1/2)**2
+        assert lines[0] == "CHECK residual: max_err=4.000e+00 tol=1e-10 FAILED"
 
     def test_validate_overlap_report_takes_range_start(self, monkeypatch):
         reported = set()

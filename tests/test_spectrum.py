@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
@@ -32,9 +33,14 @@ def test_second_case_ground_state():
 @pytest.mark.parametrize("gamma", [-0.1, -0.5, -1.0, -2.0])
 def test_residual_relative(gamma, nu):
     params = ModelParams(gamma=gamma, nu=nu)
+    scalar = []
     for n in range(0, 501, 7):
         level = eigenvalue(params, n)
-        assert abs(residual(params, n, level.energy)) / (n + 0.5) ** 2 < 1e-10
+        scalar.append(residual(params, n, level.energy))
+        assert abs(scalar[-1]) / (n + 0.5) ** 2 < 1e-10
+    # the array pass of validate gives the same residuals bit for bit
+    ns = np.arange(0, 501, 7)
+    assert residual(params, ns, _energies(params, ns)).tolist() == scalar
 
 
 @pytest.mark.parametrize("nu,gamma", [(1, -1.0), (1, -0.3), (2, -0.25), (2, -0.8)])
@@ -147,13 +153,19 @@ def test_parameter_validation():
     (lambda params: _energies(params, range(20001)), 1, -1e150, 13408),
     (lambda params: _energies(params, range(20001)), 1, -1e300, 0),
     (lambda params: _energies(params, range(20001)), 2, -1e300, 6704),
+    # nu = 2, gamma = 0.1 has no real root from n = 3 on
+    (lambda params: eigenvalue(params, 3), 2, 0.1, 3),
+    (lambda params: _energies(params, range(5)), 2, 0.1, 3),
 ], ids=["eigenvalue", "_energies", "saturation_index", "_energies-nu1-1e150",
-        "_energies-nu1-1e300", "_energies-nu2-1e300"])
+        "_energies-nu1-1e300", "_energies-nu2-1e300", "eigenvalue-nu2-no-root",
+        "_energies-nu2-no-root"])
 def test_unrepresentable_energy_raises(call, nu, gamma, n):
-    # the formula overflows, so the retained root reads E = 0, and does so
-    # without a numpy overflow warning
-    params = ModelParams(gamma=gamma, nu=nu)
-    with pytest.raises(NonPositiveEnergy, match=rf"E=0\.0 at n={n},"):
+    # the formula overflows, so the retained root reads E = 0, or it takes
+    # the square root of a negative number and reads nan; neither leaks a
+    # numpy warning
+    params = ModelParams(gamma=gamma, nu=nu, permissive=gamma > 0)
+    energy = "nan" if gamma > 0 else r"0\.0"
+    with pytest.raises(NonPositiveEnergy, match=rf"E={energy} at n={n},"):
         call(params)
 
 
