@@ -30,7 +30,8 @@ from .quadrature import gaussian_window, integrate
 from .spectrum import (DensityMode, ModelParams, _energies, eigenvalue,
                        residual, saturation_limit)
 from .thermo import specific_heat_curve
-from .wavefunction import density, perey_factor, psi, weight
+from .wavefunction import (density, perey_factor, psi, weight,
+                           weight_coefficient)
 
 # validate's gates in report order, each with the bound its maximum error
 # must stay below (the residual's is relative to (n + 1/2)**2, the moment's
@@ -94,13 +95,13 @@ class SweepSpec:
                 raise DomainError(f"{name} must be {noun} in the float "
                                   "range") from None
             setattr(self, name, items if name in _TUPLES else items[0])
-        if self.n_max < self.n_min or self.n_min < 0:
-            raise DomainError(
-                f"empty quantum-number range [{self.n_min}, {self.n_max}]"
-            )
-        if self.n_max >= 2**52:
-            # past 2**52, n + 1/2 is no longer exact in floating point
-            raise DomainError(f"n_max must be below 2**52, got {self.n_max}")
+        # past 2**52, n + 1/2 is no longer exact in floating point; the
+        # message names no value, which may have too many digits to print
+        if not (0 <= self.n_min < 2**52 and 0 <= self.n_max < 2**52):
+            raise DomainError("n_min and n_max must lie in [0, 2**52)")
+        if self.n_max < self.n_min:
+            raise DomainError("empty quantum-number range "
+                              f"[{self.n_min}, {self.n_max}]")
         if self.n_max - self.n_min >= _MAX_GRID_COUNT:
             raise DomainError(f"quantum-number range [{self.n_min}, "
                               f"{self.n_max}] holds more than "
@@ -310,30 +311,28 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
         try:
             params = spec.params(gamma)
             # positivity before the residual scan, which can stop this
-            # coupling at a level with no real eigenvalue
+            # coupling: for g > 0, f = 1 - g x**2 and with it rho is
+            # negative at every level for all |x| > 1/sqrt(g)
             if gamma > 0:
-                xs = np.asarray(spec.x_grid or np.linspace(-8.0, 8.0, 321))
-                level = eigenvalue(params, spec.n_min)
-                rho = density(level, params, xs)
-                # each run of grid points with rho < 0, by its end points
-                edges = np.flatnonzero(np.diff(np.r_[False, rho < 0, False]))
-                if edges.size:
-                    runs = " and ".join(f"[{xs[a]:.4g}, {xs[b - 1]:.4g}]"
-                                        for a, b in edges.reshape(-1, 2))
-                    negative.append(f"gamma={gamma:g}: rho < 0 on x in {runs}")
-            # the residual at every level of the range, in one array pass
+                # g underflows to 0 only at a subnormal gamma
+                g = weight_coefficient(params, eigenvalue(params, spec.n_min))
+                negative.append(f"gamma={gamma:g}: rho < 0 for |x| > "
+                                f"{1 / math.sqrt(g) if g else math.inf:.4g}")
+            # the residual at every level of the range, in one array pass;
+            # E**2 may overflow at a huge gamma > 0, giving nan there
             ns = np.arange(spec.n_min, spec.n_max + 1)
-            err = abs(residual(params, ns, _energies(params, ns))) / (
-                ns + 0.5) ** 2
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = abs(residual(params, ns, _energies(params, ns))) / (
+                    ns + 0.5) ** 2
             # fmax skips a level whose residual overflows to nan
             worst["residual"] = max(worst["residual"],
                                     float(np.fmax.reduce(err)))
+            if gamma > 0:
+                continue
             # the levels the quadrature gates take: the first 13 and the top
             levels = [eigenvalue(params, n) for n in
                       [*range(spec.n_min, min(spec.n_min + 13, spec.n_max)),
                        spec.n_max]]
-            if gamma > 0:
-                continue
             # non-gating: modified-product overlap of distinct levels among
             # n_min..min(n_max, n_min + 6), the first seven gated ones
             for i, lm in enumerate(levels[:7]):

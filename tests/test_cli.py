@@ -13,7 +13,7 @@ from edho.errors import DomainError, NonConvergence
 from edho.information import cramer_rao, moments
 from edho.spectrum import _energies, eigenvalue, residual
 from edho.thermo import specific_heat_curve
-from edho.wavefunction import psi
+from edho.wavefunction import psi, weight_coefficient
 
 
 def read_rows(path):
@@ -299,6 +299,8 @@ class TestSpecValidation:
         {"eps_sat": math.nan},
         {"n_max": 10**6},  # one level past the count limit
         {"n_min": 5, "n_max": 10**6 + 5},
+        {"n_max": 10**5000},  # too many digits to print
+        {"n_min": -10**5000},
     ])
     def test_bad_grid_or_range_rejected(self, fields):
         with pytest.raises(DomainError):
@@ -520,18 +522,69 @@ class TestMainEntry:
         assert "FAILED" not in out
 
     def test_validate_flags_positivity_violation(self, tmp_path, capsys):
-        code = main(["validate", "--gamma=0.3,0.1", "--permissive",
+        code = main(["validate", "--gamma=0.3,0.1,5e-324", "--permissive",
                      "--n-max", "2", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        failed = [line for line in out.splitlines()
+                  if line.startswith("CHECK density_positivity")]
+        # one line per coupling, each naming the zero 1/sqrt(gamma/2) of f
+        # past which rho < 0; at a subnormal gamma, gamma/2 underflows to 0
+        assert failed == [
+            "CHECK density_positivity: FAILED gamma=0.3: rho < 0 for |x| > "
+            "2.582",
+            "CHECK density_positivity: FAILED gamma=0.1: rho < 0 for |x| > "
+            "4.472",
+            "CHECK density_positivity: FAILED gamma=4.94066e-324: rho < 0 "
+            "for |x| > inf"]
+
+    @pytest.mark.parametrize("gamma, nu, mode, n_min", [
+        *[(g, 1, "paper", 0) for g in (0.01, 0.03, 0.3, 1e5, 1e6)],
+        # g = nu gamma E/2 takes the energy of level n_min
+        (0.1, 2, "nu-consistent", 0),
+        (0.1, 2, "nu-consistent", 1),
+    ])
+    def test_validate_positivity_is_closed_form(self, gamma, nu, mode, n_min,
+                                                tmp_path, capsys, monkeypatch):
+        # the zero of f = 1 - g x**2 decides it, wherever it lies (14.1 at
+        # gamma = 0.01, 1.4e-3 at gamma = 1e6), whatever the x grid: no
+        # density is evaluated and no gated level is built
+        built = []
+
+        def counting(params, n):
+            built.append(n)
+            return eigenvalue(params, n)
+
+        def no_density(*args):
+            raise AssertionError("density evaluated")
+
+        monkeypatch.setattr(edho.cli, "eigenvalue", counting)
+        monkeypatch.setattr(edho.cli, "density", no_density)
+        code = main(["validate", f"--gamma={gamma}", "--nu", str(nu),
+                     "--density-mode", mode, "--permissive", "--n-min",
+                     str(n_min), "--n-max", "3", "--x-grid=-1:1:3",
+                     "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
+        params = SweepSpec(gamma_list=(gamma,), nu=nu, density_mode=mode,
+                           permissive=True).params(gamma)
+        x0 = 1 / math.sqrt(weight_coefficient(params,
+                                              eigenvalue(params, n_min)))
         failed = [line for line in out.splitlines()
-                  if line.startswith("CHECK density_positivity: FAILED")]
-        # one line per coupling, each naming its two negative tails of f
-        assert [line.split()[3] for line in failed] == ["gamma=0.3:",
-                                                        "gamma=0.1:"]
-        for line in failed:
-            assert "x in [-8, " in line and " and [" in line
-            assert line.endswith(", 8]")
+                  if line.startswith("CHECK density_positivity")]
+        assert failed == [f"CHECK density_positivity: FAILED gamma={gamma:g}: "
+                          f"rho < 0 for |x| > {x0:.4g}"]
+        assert built == [n_min]
+
+    def test_validate_huge_gamma_writes_no_warning(self, tmp_path, capsys):
+        # E**2 overflows in the residual scan; that level reads nan, and the
+        # other levels' residual still fails the gate
+        code = main(["validate", "--gamma=1e152", "--permissive",
+                     "--n-max", "12", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert ("CHECK residual: max_err=2.546e+289 tol=1e-10 FAILED"
+                in out.splitlines())
 
     @pytest.mark.parametrize("gammas", ["nan", "inf", "-0.5,-inf"])
     def test_validate_non_finite_gamma_is_usage_error(self, gammas, tmp_path):
