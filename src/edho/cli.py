@@ -23,7 +23,7 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, shown
 from .information import (cramer_rao, fisher_closed, fisher_numeric, moments,
                           shannon_entropy)
 from .quadrature import gaussian_window, integrate
@@ -88,7 +88,7 @@ class SweepSpec:
             if not all(isinstance(item, kind)
                        and (plain is bool or not isinstance(item, bool))
                        for item in items):
-                raise DomainError(f"{name} must be {noun}, got {value!r}")
+                raise DomainError(f"{name} must be {noun}, got {shown(value)}")
             try:
                 items = tuple(map(plain, items))
             except OverflowError:  # an integer past the float range
@@ -114,7 +114,7 @@ class SweepSpec:
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise DomainError(f"{name} must be one of {allowed}, "
-                                  f"got {getattr(self, name)!r}")
+                                  f"got {shown(getattr(self, name))}")
         if not 0.0 < self.eps_sat < 1.0:
             raise DomainError(f"eps_sat must lie in (0, 1), "
                               f"got {self.eps_sat}")
@@ -195,13 +195,13 @@ def _thermo(spec, params, betas):
 def _fisher(spec, params, n):
     level = eigenvalue(params, n)
     # the source not chosen reads nan where it fails (the truncated closed
-    # form at strong coupling, the integral once f vanishes in its window)
+    # form at strong coupling, the exact one wherever f vanishes: g > 0)
     values = {}
     for source, fisher in (("closed", fisher_closed),
                            ("numeric", fisher_numeric)):
         try:
             values[source] = fisher(level, params)
-        except (DomainError, NonConvergence):
+        except DomainError:
             if spec.fisher_source == source:
                 raise
             values[source] = math.nan
@@ -305,9 +305,19 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
 
 def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
     """Oracle suite over the sweep grid; (report lines, all-gates-passed)."""
-    lines, ok, negative = [], True, []
-    worst, overlap = dict.fromkeys(_GATES, 0.0), 0.0
+    lines, ok, overlap = [], True, 0.0
+    # each gate's maximum error and the number of levels it took
+    worst, checked = dict.fromkeys(_GATES, 0.0), dict.fromkeys(_GATES, 0)
+    # [gamma, where rho < 0] per coupling gamma > 0; None until decided
+    negative = []
+
+    def record(name, err, levels=1):
+        worst[name] = max(worst[name], err)
+        checked[name] += levels
+
     for gamma in spec.gamma_list:
+        if gamma > 0:
+            negative.append([gamma, None])
         try:
             params = spec.params(gamma)
             # positivity before the residual scan, which can stop this
@@ -316,17 +326,18 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
             if gamma > 0:
                 # g underflows to 0 only at a subnormal gamma
                 g = weight_coefficient(params, eigenvalue(params, spec.n_min))
-                negative.append(f"gamma={gamma:g}: rho < 0 for |x| > "
-                                f"{1 / math.sqrt(g) if g else math.inf:.4g}")
+                negative[-1][1] = ("rho < 0 for |x| > "
+                                   f"{1 / math.sqrt(g) if g else math.inf:.4g}")
             # the residual at every level of the range, in one array pass;
             # E**2 may overflow at a huge gamma > 0, giving nan there
             ns = np.arange(spec.n_min, spec.n_max + 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 err = abs(residual(params, ns, _energies(params, ns))) / (
                     ns + 0.5) ** 2
-            # fmax skips a level whose residual overflows to nan
-            worst["residual"] = max(worst["residual"],
-                                    float(np.fmax.reduce(err)))
+            # fmax skips a level whose residual overflows to nan, and so
+            # does the count of levels checked
+            record("residual", float(np.fmax.reduce(err)),
+                   int(np.count_nonzero(~np.isnan(err))))
             if gamma > 0:
                 continue
             # the levels the quadrature gates take: the first 13 and the top
@@ -349,30 +360,34 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                 window = gaussian_window(level.lam, level.n)
                 norm, _ = integrate(lambda x: density(level, params, x),
                                     window, 1e-11)
-                worst["normalization"] = max(worst["normalization"],
-                                             abs(norm - 1.0))
+                record("normalization", abs(norm - 1.0))
                 x2_quad, _ = integrate(
                     lambda x: np.asarray(x) ** 2 * density(level, params, x),
                     window, 1e-11)
                 _, x2_closed, _ = moments(level, params)
-                worst["moment_closed_form"] = max(
-                    worst["moment_closed_form"],
-                    abs(x2_quad - x2_closed) / max(1.0, x2_closed))
-                worst["cramer_rao_bound"] = max(
-                    worst["cramer_rao_bound"], 1.0 - cramer_rao(level, params))
+                record("moment_closed_form",
+                       abs(x2_quad - x2_closed) / max(1.0, x2_closed))
+                record("cramer_rao_bound", 1.0 - cramer_rao(level, params))
         except (DomainError, NonConvergence) as exc:
             ok = False
             check = "domain" if isinstance(exc, DomainError) else "convergence"
             lines.append(f"CHECK {check}: FAILED gamma={gamma:g}: {exc}")
 
     for name, tol in _GATES.items():
+        if not checked[name]:
+            lines.append(f"CHECK {name}: SKIPPED (no level checked)")
+            continue
         passed = worst[name] < tol
         ok = ok and passed
         lines.append(f"CHECK {name}: max_err={worst[name]:.3e} tol={tol:.0e} "
                      f"{'PASS' if passed else 'FAILED'}")
+    # a coupling gamma > 0 fails even where it stopped before its verdict
     ok = ok and not negative
-    lines += ([f"CHECK density_positivity: FAILED {where}"
-               for where in negative] or ["CHECK density_positivity: PASS"])
+    lines += ([f"CHECK density_positivity: FAILED gamma={gamma:g}: {where}"
+               if where else f"CHECK density_positivity: SKIPPED "
+               f"gamma={gamma:g} (no level checked)"
+               for gamma, where in negative]
+              or ["CHECK density_positivity: PASS"])
     lines.append("REPORT orthogonality(modified product): "
                  f"max_overlap={overlap:.3e}")
     return lines, ok

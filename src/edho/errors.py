@@ -15,3 +15,12 @@ class NotReached(RuntimeError):
 
 class NonConvergence(RuntimeError):
     """The integrator exhausted its refinements without meeting tolerance."""
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, or only its type where repr fails
+    on an integer past sys.get_int_max_str_digits, alone or inside."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"

@@ -1,10 +1,11 @@
-"""Self-contained integration engine used to validate every closed form.
+"""Self-contained integration engine of the Shannon entropy and of the
+quadrature gates of ``validate``; the Fisher information needs none.
 
 The plain trapezoid rule on an explicit symmetric window [-L, L]; callers
 that know their Gaussian scale get L from ``gaussian_window``.  The
-integrands here decay like a Gaussian, so for the analytic ones (densities,
-moments, Fisher) the rule converges exponentially once the window covers
-the support.  A kinked integrand, such as rho ln rho integrated directly
+integrands here decay like a Gaussian, so for the analytic ones (densities
+and moments) the rule converges exponentially once the window covers the
+support.  A kinked integrand, such as rho ln rho integrated directly
 with its x**2 ln x**2 kinks at the zeros of H_n, slows the rule to about
 h**3; the stopping rule guards such callers.  ``shannon_entropy`` avoids
 the kinks: it splits at the zeros and substitutes tanh-sinh on each piece,

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveEnergy, NotReached
+from .errors import DomainError, NonPositiveEnergy, NotReached, shown
 
 # the largest saturation index that saturation_index returns
 _N_SAT_CAP = 10**6
@@ -48,7 +48,7 @@ class ModelParams:
 
     def __post_init__(self):
         if self.nu not in (1, 2):
-            raise DomainError(f"nu must be 1 or 2, got {self.nu}")
+            raise DomainError(f"nu must be 1 or 2, got {shown(self.nu)}")
         if not math.isfinite(self.gamma):
             raise DomainError(f"gamma must be finite, got {self.gamma}")
         if self.gamma > 0 and not self.permissive:

@@ -218,8 +218,8 @@ ERROR_SWEEPS = {
     "shannon": (["shannon", "--nu", "2", "--gamma=0.1", "--permissive",
                  "--n-max", "4"], "shannon", ["n"], 2,
                 lambda r: int(r["n"]) >= 3),
-    # the closed source: fisher_numeric refuses gamma > 0 here, since the
-    # weight f vanishes inside its window
+    # the closed source: fisher_numeric refuses every gamma > 0, where the
+    # weight f vanishes
     "cramer_rao": (["cramer-rao", "--fisher-source", "closed", "--nu", "2",
                     "--gamma=0.1", "--permissive", "--n-max", "4"],
                    "cramer_rao", ["n"], 2, lambda r: int(r["n"]) >= 3),
@@ -349,6 +349,11 @@ class TestSpecValidation:
         {"gamma_list": [-10**400]},  # past the float range
         {"eps_sat": 10**400},
         {"beta_grid": [1, 10**400]},
+        # integers too long for repr, which the message must not print
+        *({name: 10**5000} for name in ("outputs", "nu", "out_dir",
+                                         "density_mode", "fisher_source",
+                                         "permissive")),
+        {"outputs": ("spectrum", 10**5000)},
     ])
     def test_library_input_of_wrong_type_rejected(self, fields):
         with pytest.raises(DomainError):
@@ -575,6 +580,28 @@ class TestMainEntry:
         assert failed == [f"CHECK density_positivity: FAILED gamma={gamma:g}: "
                           f"rho < 0 for |x| > {x0:.4g}"]
         assert built == [n_min]
+
+    @pytest.mark.parametrize("argv", [
+        # E overflows at n = 0: no level of the coupling has an energy
+        ["--gamma=1e308", "--n-max", "3"],
+        # nu = 2, gamma = 0.1 has no real level above n = 2
+        ["--gamma=0.1", "--nu", "2", "--n-min", "3", "--n-max", "4"],
+    ], ids=["energy-overflow", "nu2-no-level"])
+    def test_validate_gate_without_level_is_skipped(self, argv, tmp_path,
+                                                    capsys):
+        code = main(["validate", *argv, "--permissive",
+                     "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        checks = [line for line in out.splitlines()
+                  if line.startswith("CHECK ")]
+        gamma = f"{float(argv[0].split('=')[1]):g}"
+        assert checks[0].startswith(f"CHECK domain: FAILED gamma={gamma}:")
+        assert checks[1:] == [
+            *(f"CHECK {name}: SKIPPED (no level checked)"
+              for name in edho.cli._GATES),
+            f"CHECK density_positivity: SKIPPED gamma={gamma} "
+            "(no level checked)"]
 
     def test_validate_huge_gamma_writes_no_warning(self, tmp_path, capsys):
         # E**2 overflows in the residual scan; that level reads nan, and the

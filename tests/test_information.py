@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_hermite
+from scipy.special import erfcx, roots_hermite
 
 import edho.information
 import edho.wavefunction
 from edho import (DensityMode, DomainError, ModelParams, cramer_rao, density,
                   eigenvalue, entropy_density, fisher_closed, fisher_numeric,
                   gaussian_window, integrate, moments, shannon_entropy)
-from edho.information import _hermite_zeros
-from fisher_oracle import fisher_by_quad
+from edho.information import _hermite_zeros, _i_n
+from fisher_oracle import fisher_by_quad, i_n_by_quad
 from shannon_oracle import shannon_by_quad
 
 SWEEP_GAMMAS = (0.0, -0.1, -0.3, -0.5, -1.0)
@@ -93,37 +93,71 @@ class TestFisher:
         assert 0 < peak < len(values) - 1
 
     def test_weight_zero_inside_window_is_domain_error(self):
-        # f = 1 - g x**2 vanishes at x = 1/sqrt(g) = 4.47, inside the
-        # window of 10.9, where the 1/f term is not integrable
+        # for g > 0, f = 1 - g x**2 vanishes at x = 1/sqrt(g), where the 1/f
+        # term of I_n is not integrable: 4.47 here, inside the Gaussian
+        # window of 10.9 ...
         params = ModelParams(gamma=0.1, nu=2, permissive=True)
         with pytest.raises(DomainError):
             fisher_numeric(eigenvalue(params, 0), params)
-        # a zero outside the window leaves the integral well defined
+        # ... and just as much at 141, far past it: the integral runs over
+        # the whole line
         params = ModelParams(gamma=1e-4, nu=1, permissive=True)
-        assert 0 < fisher_numeric(eigenvalue(params, 0), params) < math.inf
+        with pytest.raises(DomainError):
+            fisher_numeric(eigenvalue(params, 0), params)
 
-    def test_one_hermite_pass_per_abscissa(self, monkeypatch):
-        # the integrand of I_n needs psi alone: one recurrence pass at each
-        # abscissa
-        hermite_points, quad_points = [], []
-        hermite_fn_pair = edho.wavefunction.hermite_fn_pair
+    def test_no_quadrature_and_no_hermite_pass(self, monkeypatch):
+        # I_n comes from a scalar recurrence: no integrand is evaluated
+        def refuse(*args):
+            raise AssertionError("quadrature or Hermite grid used")
 
-        def counting_hermite(n, y):
-            hermite_points.append(np.size(y))
-            return hermite_fn_pair(n, y)
+        monkeypatch.setattr(edho.information, "integrate", refuse)
+        monkeypatch.setattr(edho.wavefunction, "hermite_fn_pair", refuse)
+        for gamma, n in ((-0.5, 10), (-1e6, 0), (-1e-5, 3000)):
+            params = ModelParams(gamma=gamma, nu=1)
+            assert 0 < fisher_numeric(eigenvalue(params, n), params) < math.inf
 
-        def counting(integrand, window, rel_tol):
-            def counted(x):
-                quad_points.append(np.size(x))
-                return integrand(x)
-            return integrate(counted, window, rel_tol)
+    # every coupling band, both nu and both density modes
+    @pytest.mark.parametrize("mode", ["paper", "nu-consistent"])
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("gamma", [-1e-5, -0.5, -1e3, -1e6])
+    def test_against_quad_over_couplings(self, gamma, nu, mode):
+        params = ModelParams(gamma=gamma, nu=nu, density_mode=DensityMode(mode))
+        for n in (0, 1, 7, 40):
+            level = eigenvalue(params, n)
+            assert fisher_numeric(level, params) == pytest.approx(
+                fisher_by_quad(level, params), rel=1e-12)
 
-        monkeypatch.setattr(edho.wavefunction, "hermite_fn_pair",
-                            counting_hermite)
-        monkeypatch.setattr(edho.information, "integrate", counting)
-        params = ModelParams(gamma=-0.5, nu=1)
-        fisher_numeric(eigenvalue(params, 10), params)
-        assert 0 < sum(hermite_points) == sum(quad_points)
+
+class TestFisherIntegral:
+    """I_n(c) = integral of h_n(y)**2 / (1 + c y**2) dy, pinned on its own:
+    F hides its error, since 4 g I_n is a small share of F at weak
+    coupling."""
+
+    # the recurrence runs t_n backward for kappa sqrt(n+1) >= 2, forward
+    # below; the pairs at n = 10 and 60 straddle that split, and c = 5e-4
+    # with n <= 3 is where a backward start with no floor falls short
+    @pytest.mark.parametrize("c, n", [
+        (5e-4, 1), (5e-4, 2), (5e-4, 3), (1e-6, 0), (1e-2, 30), (0.3, 1),
+        (0.5, 1), (2.5, 10), (3.0, 10), (14.0, 60), (17.0, 60), (0.5, 200),
+        (60.0, 200), (1e3, 100), (1e4, 1), (1e6, 0)])
+    def test_against_quad(self, c, n):
+        assert _i_n(n, c) == pytest.approx(i_n_by_quad(n, c), rel=1e-13)
+
+    # where the quad oracle itself is 1.2e-13 off (c = 3.2e7, n = 1)
+    @pytest.mark.parametrize("c", [1.0, 3.0, 1e3, 3.2e7, 1e12])
+    def test_closed_forms_at_strong_coupling(self, c):
+        kappa = c ** -0.5
+        i_0 = kappa * math.sqrt(math.pi) * erfcx(kappa)
+        assert _i_n(0, c) == pytest.approx(i_0, rel=1e-15)
+        # h_1**2 = 2 y**2 h_0**2 and y**2/(1 + c y**2) = (1 - 1/f)/c
+        assert _i_n(1, c) == pytest.approx(2.0 * (1.0 - i_0) / c, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1000, 2500, 5000])
+    @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-9])
+    def test_series_at_large_n_and_weak_coupling(self, c, n):
+        # the third-order term, c**3 <y**6>, is below 1e-15 here
+        series = 1.0 - c * (n + 0.5) + 0.75 * c * c * (2 * n * n + 2 * n + 1)
+        assert _i_n(n, c) == pytest.approx(series, rel=1e-15, abs=0)
 
 
 class TestMoments:
