@@ -34,13 +34,12 @@ from .wavefunction import (density, perey_factor, psi, weight,
                            weight_coefficient)
 
 # validate's gates in report order, each with the bound its maximum error
-# must stay below (the residual's is relative to (n + 1/2)**2, the moment's
-# to max(1, <x^2>), which grows like 1/lam at strong coupling)
+# must stay below (the residual's is relative to max((n + 1/2)**2, E**2),
+# the moment's to max(1, <x^2>), which grows like 1/lam at strong coupling)
 _GATES = {"residual": 1e-10, "normalization": 1e-8,
           "moment_closed_form": 1e-8, "cramer_rao_bound": 1e-10}
 # the values SweepSpec and the command line accept for these fields
-_CHOICES = {"density_mode": tuple(mode.value for mode in DensityMode),
-            "fisher_source": ("numeric", "closed")}
+_CHOICES = {"density_mode": tuple(mode.value for mode in DensityMode)}
 _MAX_GRID_COUNT = 10**6
 # SweepSpec's fields -> (accepted type, stored type, what a value must be);
 # a tuple field holds one or more items of that type; a bool is no number
@@ -70,7 +69,6 @@ class SweepSpec:
     outputs: tuple = ("spectrum",)
     eps_sat: float = 1e-6
     density_mode: str = "paper"
-    fisher_source: str = "numeric"
     permissive: bool = False
     out_dir: str = "edho-out"
 
@@ -194,25 +192,19 @@ def _thermo(spec, params, betas):
 
 def _fisher(spec, params, n):
     level = eigenvalue(params, n)
-    # the source not chosen reads nan where it fails (the truncated closed
-    # form at strong coupling, the exact one wherever f vanishes: g > 0)
-    values = {}
-    for source, fisher in (("closed", fisher_closed),
-                           ("numeric", fisher_numeric)):
-        try:
-            values[source] = fisher(level, params)
-        except DomainError:
-            if spec.fisher_source == source:
-                raise
-            values[source] = math.nan
-    return [(values["closed"], values["numeric"], values[spec.fisher_source])]
+    # the truncated closed form reads nan where it leaves its regime at
+    # strong coupling; the exact value fails the row where f vanishes (g > 0)
+    try:
+        closed = fisher_closed(level, params)
+    except DomainError:
+        closed = math.nan
+    numeric = fisher_numeric(level, params)
+    return [(closed, numeric, numeric)]
 
 
 def _cramer_rao(spec, params, n):
     level = eigenvalue(params, n)
-    fisher = {"closed": fisher_closed,
-              "numeric": fisher_numeric}[spec.fisher_source](level, params)
-    _, _, variance = moments(level, params)
+    fisher, variance = fisher_numeric(level, params), moments(level, params)
     return [(fisher, variance, fisher * variance)]
 
 
@@ -305,9 +297,11 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
 
 def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
     """Oracle suite over the sweep grid; (report lines, all-gates-passed)."""
-    lines, ok, overlap = [], True, 0.0
-    # each gate's maximum error and the number of levels it took
-    worst, checked = dict.fromkeys(_GATES, 0.0), dict.fromkeys(_GATES, 0)
+    lines, ok = [], True
+    # each gate's maximum error and the number of levels it took, and the
+    # non-gating orthogonality report's largest overlap and number of pairs
+    names = [*_GATES, "orthogonality"]
+    worst, checked = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0)
     # [gamma, where rho < 0] per coupling gamma > 0; None until decided
     negative = []
 
@@ -328,12 +322,14 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                 g = weight_coefficient(params, eigenvalue(params, spec.n_min))
                 negative[-1][1] = ("rho < 0 for |x| > "
                                    f"{1 / math.sqrt(g) if g else math.inf:.4g}")
-            # the residual at every level of the range, in one array pass;
-            # E**2 may overflow at a huge gamma > 0, giving nan there
+            # the residual at every level of the range, in one array pass,
+            # relative to its largest term: E**2 - (n+1/2)**2 gamma E cancels
+            # at a huge gamma > 0, and E**2 may overflow there, giving nan
             ns = np.arange(spec.n_min, spec.n_max + 1)
+            energies = _energies(params, ns)
             with np.errstate(over="ignore", invalid="ignore"):
-                err = abs(residual(params, ns, _energies(params, ns))) / (
-                    ns + 0.5) ** 2
+                err = abs(residual(params, ns, energies)) / np.maximum(
+                    (ns + 0.5) ** 2, energies ** 2)
             # fmax skips a level whose residual overflows to nan, and so
             # does the count of levels checked
             record("residual", float(np.fmax.reduce(err)),
@@ -355,7 +351,7 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                         lambda x: (psi(lm, params, x) * psi(ln, params, x)
                                    * weight(params, x, ln)),
                         window, 1e-10)
-                    overlap = max(overlap, abs(val))
+                    record("orthogonality", abs(val))
             for level in levels:
                 window = gaussian_window(level.lam, level.n)
                 norm, _ = integrate(lambda x: density(level, params, x),
@@ -364,7 +360,7 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                 x2_quad, _ = integrate(
                     lambda x: np.asarray(x) ** 2 * density(level, params, x),
                     window, 1e-11)
-                _, x2_closed, _ = moments(level, params)
+                x2_closed = moments(level, params)
                 record("moment_closed_form",
                        abs(x2_quad - x2_closed) / max(1.0, x2_closed))
                 record("cramer_rao_bound", 1.0 - cramer_rao(level, params))
@@ -389,7 +385,9 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                for gamma, where in negative]
               or ["CHECK density_positivity: PASS"])
     lines.append("REPORT orthogonality(modified product): "
-                 f"max_overlap={overlap:.3e}")
+                 + (f"max_overlap={worst['orthogonality']:.3e}"
+                    if checked["orthogonality"] else
+                    "SKIPPED (no pair compared)"))
     return lines, ok
 
 
@@ -462,7 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="START:STOP:COUNT")
     parser.add_argument("--eps-sat", type=float)
     parser.add_argument("--density-mode", choices=_CHOICES["density_mode"])
-    parser.add_argument("--fisher-source", choices=_CHOICES["fisher_source"])
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--config",
                         help="key = value config file; flags win on conflict")

@@ -103,25 +103,21 @@ def fisher_numeric(level: EnergyLevel, params: ModelParams) -> float:
     return _fisher(level, params, _i_n(level.n, c) if c else 1.0)
 
 
-def moments(level: EnergyLevel, params: ModelParams) -> tuple[float, float, float]:
-    """(mean, second moment, variance) of position under the modified density.
-
-    The mean vanishes by parity.  The second moment is the exact Gaussian-
-    moment closed form (no truncation), matching quadrature to rounding.
+def moments(level: EnergyLevel, params: ModelParams) -> float:
+    """<x**2> under the modified density, which is also the variance: the
+    mean vanishes by parity.  It is the exact Gaussian-moment closed form
+    (no truncation), matching quadrature to rounding.
     """
     n, lam = level.n, level.lam
     g = weight_coefficient(params, level)
     b = _brace(level, params)
-    second = ((n + 0.5) / lam
-              - 0.75 * g * (2.0 * n * n + 2.0 * n + 1.0) / (lam * lam)) / b
-    return 0.0, second, second
+    return ((n + 0.5) / lam
+            - 0.75 * g * (2.0 * n * n + 2.0 * n + 1.0) / (lam * lam)) / b
 
 
 def cramer_rao(level: EnergyLevel, params: ModelParams) -> float:
     """Numeric Fisher * variance; >= 1, equal to (2n+1)**2 at gamma = 0."""
-    fisher = fisher_numeric(level, params)
-    _, _, variance = moments(level, params)
-    return fisher * variance
+    return fisher_numeric(level, params) * moments(level, params)
 
 
 def entropy_density(level: EnergyLevel, params: ModelParams, x):

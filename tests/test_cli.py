@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from edho.information import cramer_rao, moments
 from edho.spectrum import _energies, eigenvalue, residual
 from edho.thermo import specific_heat_curve
 from edho.wavefunction import psi, weight_coefficient
+
+
+FLAG = re.compile(r"--[a-z][a-z-]*")
 
 
 def read_rows(path):
@@ -90,11 +95,10 @@ class TestRunSweep:
         assert all(float(r["fisher_numeric"]) > 0 for r in rows)
         assert any(math.isnan(float(r["fisher_closed"])) for r in rows)
 
-    @pytest.mark.parametrize("source", ["numeric", "closed"])
-    def test_cramer_rao_fisher_is_fisher_column(self, source, tmp_path):
+    def test_cramer_rao_fisher_is_fisher_column(self, tmp_path):
         spec = SweepSpec(gamma_list=(-0.5, -0.01, 0.0), n_max=30,
                          outputs=("fisher", "cramer_rao"),
-                         fisher_source=source, out_dir=str(tmp_path))
+                         out_dir=str(tmp_path))
         written = run_sweep(spec)
         fisher = read_rows(written["fisher"])
         rows = read_rows(written["cramer_rao"])
@@ -218,20 +222,12 @@ ERROR_SWEEPS = {
     "shannon": (["shannon", "--nu", "2", "--gamma=0.1", "--permissive",
                  "--n-max", "4"], "shannon", ["n"], 2,
                 lambda r: int(r["n"]) >= 3),
-    # the closed source: fisher_numeric refuses every gamma > 0, where the
-    # weight f vanishes
-    "cramer_rao": (["cramer-rao", "--fisher-source", "closed", "--nu", "2",
-                    "--gamma=0.1", "--permissive", "--n-max", "4"],
-                   "cramer_rao", ["n"], 2, lambda r: int(r["n"]) >= 3),
-    # fisher_numeric fails at every level, so its column reads nan and the
-    # closed rows survive; only the levels with no eigenvalue fail
-    "fisher-nu2": (["fisher", "--fisher-source", "closed", "--nu", "2",
-                    "--gamma=0.1", "--permissive", "--n-max", "4"], "fisher",
-                   ["n"], 2, lambda r: int(r["n"]) >= 3),
-    # the truncated closed form is invalid from n = 2 on at gamma = -0.8
-    "fisher-closed": (["fisher", "--gamma=-0.8", "--n-max", "6",
-                       "--fisher-source", "closed"], "fisher", ["n"], 5,
-                      lambda r: int(r["n"]) >= 2),
+    # every row fails: fisher_numeric refuses every gamma > 0, where the
+    # weight f vanishes, and the levels from n = 3 on have no eigenvalue
+    "cramer_rao": (["cramer-rao", "--nu", "2", "--gamma=0.1", "--permissive",
+                    "--n-max", "4"], "cramer_rao", ["n"], 5, lambda r: True),
+    "fisher-nu2": (["fisher", "--nu", "2", "--gamma=0.1", "--permissive",
+                    "--n-max", "4"], "fisher", ["n"], 5, lambda r: True),
 }
 
 
@@ -260,10 +256,9 @@ def test_error_rows_keep_keys_and_blank_values(case, tmp_path):
         kind = "NotReached" if case == "thermo" else "NonPositiveEnergy"
         assert all(r["error"].startswith(kind) for r in failed)
         assert [float(r["beta"]) for r in failed] == [0.5, 2.0, 3.5, 5.0]
-    if case == "fisher-nu2":
-        for r in rows[:3]:
-            assert math.isnan(float(r["fisher_numeric"])), r
-            assert float(r["fisher"]) == float(r["fisher_closed"]) > 0, r
+    if name in ("fisher", "cramer_rao"):
+        kinds = [r["error"].split(":")[0] for r in failed]
+        assert kinds == ["DomainError"] * 3 + ["NonPositiveEnergy"] * 2
     if name == "density":
         for n in (3, 4):
             assert [float(r["x"]) for r in failed if r["n"] == str(n)] == [
@@ -283,6 +278,10 @@ class TestSpecValidation:
             SweepSpec(gamma_list=(0.5,))
         SweepSpec(gamma_list=(0.5,), permissive=True)
 
+    def test_removed_fisher_source_is_no_field(self):
+        with pytest.raises(TypeError):
+            SweepSpec(fisher_source="closed")
+
     @pytest.mark.parametrize("fields", [
         {"beta_grid": (0.0, 1.0)},
         {"beta_grid": (-1.0, 1.0)},
@@ -292,7 +291,7 @@ class TestSpecValidation:
         {"nu": 3},
         {"gamma_list": (-0.5, math.nan)},
         {"density_mode": "bogus"},
-        {"fisher_source": "exact"},
+        {"gamma_list": ()},
         {"outputs": ("spectrum", "bogus")},
         {"eps_sat": 2.0},
         {"eps_sat": -1.0},
@@ -351,7 +350,7 @@ class TestSpecValidation:
         {"beta_grid": [1, 10**400]},
         # integers too long for repr, which the message must not print
         *({name: 10**5000} for name in ("outputs", "nu", "out_dir",
-                                         "density_mode", "fisher_source",
+                                         "density_mode", "n_min",
                                          "permissive")),
         {"outputs": ("spectrum", 10**5000)},
     ])
@@ -374,9 +373,9 @@ class TestSpecValidation:
         spec = SweepSpec(**{"n_max": 2, "outputs": ("spectrum", "perey"),
                             "out_dir": tmp_path / "out", **fields})
         plain = {"nu": int, "n_min": int, "n_max": int, "eps_sat": float,
-                 "density_mode": str, "fisher_source": str,
-                 "permissive": bool, "out_dir": str, "gamma_list": float,
-                 "beta_grid": float, "x_grid": float, "outputs": str}
+                 "density_mode": str, "permissive": bool, "out_dir": str,
+                 "gamma_list": float, "beta_grid": float, "x_grid": float,
+                 "outputs": str}
         for name, value in vars(spec).items():
             items = value if isinstance(value, tuple) else (value,)
             assert all(type(item) is plain[name] for item in items), name
@@ -425,10 +424,10 @@ class TestMainEntry:
         for command in ("spectrum", "thermo", "fisher", "cramer-rao",
                         "shannon", "density", "perey", "validate"):
             assert command in out
-        for flag in ("--nu", "--gamma", "--n-min", "--n-max", "--beta-grid",
-                     "--x-grid", "--eps-sat", "--density-mode",
-                     "--fisher-source", "--out", "--config", "--permissive"):
-            assert flag in out
+        # the README's flag list and the parser's agree both ways
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        flags = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+        assert set(FLAG.findall(out)) == set(FLAG.findall(flags)) | {"--help"}
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -452,6 +451,7 @@ class TestMainEntry:
         ("validate", "nu = 3"),
         ("validate", "density_mode = bogus"),
         ("fisher", "fisher_source = bogus"),
+        ("fisher", "fisher_source = closed"),  # the option is gone
         ("spectrum", "frequency = 3"),
         ("spectrum", "n_max 3"),
         ("spectrum", "permissive = maybe"),
@@ -467,6 +467,16 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
         assert not (tmp_path / f"{command}.csv").exists()
+
+    def test_removed_fisher_source_flag_is_usage_error(self, tmp_path,
+                                                       capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fisher", "--fisher-source", "closed",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "fisher.csv").exists()
 
     @pytest.mark.parametrize("grid", [
         "--beta-grid=0.1:10:0",   # no points at all
@@ -605,13 +615,15 @@ class TestMainEntry:
 
     def test_validate_huge_gamma_writes_no_warning(self, tmp_path, capsys):
         # E**2 overflows in the residual scan; that level reads nan, and the
-        # other levels' residual still fails the gate
+        # other levels' residual, relative to E**2, passes the gate; the
+        # exit code comes from positivity
         code = main(["validate", "--gamma=1e152", "--permissive",
                      "--n-max", "12", "--out", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 1 and err == ""
-        assert ("CHECK residual: max_err=2.546e+289 tol=1e-10 FAILED"
+        assert ("CHECK residual: max_err=2.078e-16 tol=1e-10 PASS"
                 in out.splitlines())
+        assert "CHECK density_positivity: FAILED gamma=1e+152" in out
 
     @pytest.mark.parametrize("gammas", ["nan", "inf", "-0.5,-inf"])
     def test_validate_non_finite_gamma_is_usage_error(self, gammas, tmp_path):
@@ -678,8 +690,7 @@ class TestMainEntry:
                                                        monkeypatch):
         # 1e-7 relative is 1e-7 <x^2> absolute, over the bound at any scale
         def off(level, params):
-            mean, second, variance = moments(level, params)
-            return mean, second * (1.0 + 1e-7), variance
+            return moments(level, params) * (1.0 + 1e-7)
 
         monkeypatch.setattr(edho.cli, "moments", off)
         lines, ok = run_validation(SweepSpec(gamma_list=(gamma,), n_max=n_max))
@@ -745,4 +756,18 @@ class TestMainEntry:
                                              n_max=30))
         assert ok
         assert reported == set(range(20, 27))
-        assert lines[-1].startswith("REPORT orthogonality")
+        assert lines[-1].startswith("REPORT orthogonality(modified product): "
+                                    "max_overlap=")
+
+    @pytest.mark.parametrize("argv", [
+        ["--gamma=0.01", "--permissive", "--n-max", "3"],  # gamma > 0
+        ["--gamma=1e308", "--permissive", "--n-max", "3"],  # no energy
+        ["--n-max", "1"],  # levels 0 and 1 differ in parity
+    ], ids=["positive-gamma", "energy-overflow", "no-same-parity-pair"])
+    def test_validate_overlap_report_without_pair_is_skipped(self, argv,
+                                                             capsys):
+        main(["validate", *argv])
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == (
+            "REPORT orthogonality(modified product): SKIPPED "
+            "(no pair compared)")
