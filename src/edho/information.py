@@ -18,14 +18,18 @@ from .quadrature import gaussian_window, integrate
 from .spectrum import EnergyLevel, ModelParams
 # unused here: bench/tracing.py wraps density_gradient_sq_terms at this site
 from .wavefunction import (density, density_gradient_sq_terms,
-                           weight_coefficient, _brace)
+                           weight_coefficient, _brace, _check_order)
 
 _ENTROPY_REL_TOL = 1e-10
 _RHO_FLOOR = 1e-300  # rho ln rho is 0 at and below it (0 ln 0 = 0)
-# half-width of each tanh-sinh piece in the substitution variable: past
-# |tau| = 3 lies about 2e-14 of the piece width, at |tau| = 3 the Jacobian
+# half-width of the tau grid that every tanh-sinh piece shares: past
+# |tau| = 3 lies about 2e-14 of a piece's width, at |tau| = 3 the Jacobian
 # is down to about 7e-13 of it
 _TANH_SINH_T = 3.0
+# the largest order _i_n takes: its cost is O(n) Python steps, over 100n
+# just above the regime split, where one call took about 1 s at n = 1e5 and
+# 10 s at 1e6 (2-CPU host); past it one level would hold a sweep for minutes
+_I_N_MAX_N = 10**5
 
 
 def _fisher(level: EnergyLevel, params: ModelParams, i_n: float) -> float:
@@ -68,6 +72,9 @@ def _i_n(n: int, c: float) -> float:
     dominant solution outgrows rho, and with it the rounding, by no more
     than exp(4 sqrt 2), about 300-fold.
     """
+    if n > _I_N_MAX_N:
+        raise DomainError(f"n={n} is past n={_I_N_MAX_N}, the largest order "
+                          "whose Fisher integral I_n is computed")
     kappa = c ** -0.5
     x = 0.0
     for k in range(1, n + 1):
@@ -146,26 +153,25 @@ def shannon_entropy(level: EnergyLevel, params: ModelParams) -> float:
     trapezoid rule to about h**3.  rho is even, so [0, L] is cut at the
     positive zeros and each of the K pieces is mapped from tau in [-T, T]
     by the tanh-sinh substitution x = lo + w (1 + tanh(pi/2 sinh tau)) / 2.
-    The pieces lie end to end on t in [-K T, K T]; the mapped integrand
-    vanishes doubly exponentially at every piece boundary, so it is smooth
-    in t and ``integrate`` converges exponentially there.
+    All pieces share one tau grid: the integrand sums the K mapped pieces
+    at each node.  Each mapped piece is smooth in tau and vanishes doubly
+    exponentially at +-T, so ``integrate`` converges exponentially.
+    An order past the wavefunction's limit is a DomainError.
     """
     n, a = level.n, math.sqrt(level.lam)
+    _check_order(n)  # psi would, but after the zeros' n x n eigenproblem
     # the middle zero of an odd order comes out as about +2e-16, not 0,
     # so slice by count rather than filter by sign
     cuts = np.concatenate(([0.0], _hermite_zeros(n)[(n + 1) // 2:] / a,
                            [gaussian_window(level.lam, n)]))
     lo, width = cuts[:-1], np.diff(cuts)
-    pieces, half = len(width), _TANH_SINH_T
 
-    def integrand(t):
-        k = np.clip(((t + pieces * half) // (2.0 * half)).astype(int),
-                    0, pieces - 1)
-        tau = t + (pieces - 2 * k - 1) * half
+    def integrand(tau):
+        tau = tau[:, None]
         u = 0.5 * math.pi * np.sinh(tau)
-        x = lo[k] + 0.5 * width[k] * (1.0 + np.tanh(u))
-        jac = 0.25 * math.pi * width[k] * np.cosh(tau) / np.cosh(u) ** 2
-        return -entropy_density(level, params, x) * jac
+        x = lo + 0.5 * width * (1.0 + np.tanh(u))
+        jac = 0.25 * math.pi * width * np.cosh(tau) / np.cosh(u) ** 2
+        return -(entropy_density(level, params, x) * jac).sum(axis=1)
 
-    value, _ = integrate(integrand, pieces * half, _ENTROPY_REL_TOL)
+    value, _ = integrate(integrand, _TANH_SINH_T, _ENTROPY_REL_TOL)
     return 2.0 * value

@@ -75,6 +75,16 @@ class TestRunSweep:
         assert counts["error_rows"] == len(failed)
         assert counts["wall_s"] >= 0
 
+    # past an order limit a level is a DomainError row, written at once
+    @pytest.mark.parametrize("output, n", [("fisher", 10**8),
+                                           ("shannon", 700)])
+    def test_level_past_order_limit_is_error_row(self, output, n, tmp_path):
+        spec = SweepSpec(gamma_list=(-0.5,), n_min=n, n_max=n,
+                         outputs=(output,), out_dir=str(tmp_path))
+        rows = read_rows(run_sweep(spec)[output])
+        assert len(rows) == 1
+        assert rows[0]["error"].startswith(f"DomainError: n={n} is past")
+
     def test_fisher_weight_free_row(self, tmp_path):
         spec = SweepSpec(gamma_list=(0.0,), n_max=4, outputs=("fisher",),
                          out_dir=str(tmp_path))
@@ -656,6 +666,14 @@ class TestMainEntry:
         assert "CHECK residual" in out
         assert f"density_positivity: {positivity}" in out
         assert sorted(gammas) == gated
+
+    def test_validate_past_order_limit_is_failed_gate(self, tmp_path, capsys):
+        # the quadrature gates reach psi, which refuses n > 680 at once
+        code = main(["validate", "--gamma=-0.5", "--n-min", "681",
+                     "--n-max", "681", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert "CHECK domain: FAILED gamma=-0.5: n=681 is past n=680" in out
 
     def test_validate_non_convergence_is_failed_gate(self, tmp_path, capsys,
                                                      monkeypatch):

@@ -159,6 +159,19 @@ class TestFisherIntegral:
         series = 1.0 - c * (n + 0.5) + 0.75 * c * c * (2 * n * n + 2 * n + 1)
         assert _i_n(n, c) == pytest.approx(series, rel=1e-15, abs=0)
 
+    def test_order_limit(self):
+        # the largest order is taken; one past it is refused before any
+        # step, in either regime
+        assert 0 < _i_n(10**5, 1e-3) < 1
+        for c in (1e-3, 1e5):
+            with pytest.raises(DomainError, match="past n=100000"):
+                _i_n(10**5 + 1, c)
+
+    def test_weight_free_needs_no_order_limit(self):
+        # at gamma = 0, c = 0 and I_n = 1 without _i_n, at any n
+        params = ModelParams(gamma=0.0)
+        assert fisher_numeric(eigenvalue(params, 10**8), params) == 4e8 + 2
+
 
 class TestMoments:
     def test_weight_free_values(self):
@@ -246,7 +259,8 @@ class TestShannon:
     @pytest.mark.parametrize("gamma,n,nu,mode", [
         *(pytest.param(gamma, n, 1, "paper", id=f"{gamma}-{n}")
           for gamma, n in ((-0.6, 0), (-0.6, 10), (-0.2, 4), (-0.2, 24),
-                           (-0.05, 1), (-0.05, 16), (-0.85, 22), (-0.2, 200))),
+                           (-0.05, 1), (-0.05, 16), (-0.85, 22), (-0.2, 200),
+                           (-0.5, 400))),
         (-0.01, 5, 2, "paper"), (-0.002, 30, 2, "nu-consistent")])
     def test_against_quad_split_at_hermite_zeros(self, gamma, n, nu, mode):
         params = ModelParams(gamma=gamma, nu=nu, density_mode=DensityMode(mode))
@@ -267,19 +281,52 @@ class TestShannon:
     @pytest.mark.parametrize("n,most", [(24, 8193), (200, 131073)])
     def test_points_per_level(self, monkeypatch, n, most):
         # splitting at the zeros keeps the integrand smooth; on the kinked
-        # integrand the trapezoid rule needed 131073 and 524289 points here
+        # integrand the trapezoid rule needed 131073 and 524289 points here.
+        # Counted are the x where rho ln rho is evaluated, every piece at
+        # every tau node: 513 (n/2 + 1) of them, 6669 and 51813
         points = []
 
-        def counting(integrand, window, rel_tol):
-            def counted(t):
-                points.append(np.size(t))
-                return integrand(t)
-            return integrate(counted, window, rel_tol)
+        def counting(level, params, x):
+            points.append(np.size(x))
+            return entropy_density(level, params, x)
 
-        monkeypatch.setattr(edho.information, "integrate", counting)
+        monkeypatch.setattr(edho.information, "entropy_density", counting)
         params = ModelParams(gamma=-0.5, nu=1)
         shannon_entropy(eigenvalue(params, n), params)
         assert 0 < sum(points) <= most
+
+    def test_one_tau_grid_for_every_piece(self, monkeypatch):
+        # the mapped pieces are smooth in tau: every level stops at the
+        # first halving that integrate allows, 513 nodes on [-T, T]
+        calls = []
+
+        def recording(integrand, window, rel_tol):
+            nodes = []
+
+            def counted(tau):
+                nodes.append(np.size(tau))
+                return integrand(tau)
+            calls.append((window, nodes))
+            return integrate(counted, window, rel_tol)
+
+        monkeypatch.setattr(edho.information, "integrate", recording)
+        params = ModelParams(gamma=-0.5, nu=1)
+        for n in (0, 7, 400):
+            shannon_entropy(eigenvalue(params, n), params)
+        assert calls == [(edho.information._TANH_SINH_T, nodes) for nodes
+                         in ([65, 64, 128, 256],) * 3]
+
+    @pytest.mark.parametrize("n", [681, 10**6])
+    def test_past_order_limit_is_domain_error(self, n, monkeypatch):
+        # refused before the zeros: their dense n x n eigenproblem would
+        # take 8 TB at n = 1e6
+        def refuse(n):
+            raise AssertionError("zeros computed past the order limit")
+
+        monkeypatch.setattr(edho.information, "_hermite_zeros", refuse)
+        params = ModelParams(gamma=-0.5, nu=1)
+        with pytest.raises(DomainError, match="past n=680"):
+            shannon_entropy(eigenvalue(params, n), params)
 
     def test_floor_convention_stable(self, monkeypatch):
         params = ModelParams(gamma=-0.5, nu=1)

@@ -75,6 +75,20 @@ class TestNormalization:
             level = eigenvalue(params, n)
             assert _norm(level, params) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5])
+    def test_unit_norm_at_order_limit(self, gamma):
+        # n = 680 is the largest order psi takes; the exp(-y**2/2) start of
+        # the recurrence underflows inside the support just past it
+        params = ModelParams(gamma=gamma, nu=1)
+        assert _norm(eigenvalue(params, 680), params) == pytest.approx(
+            1.0, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("kernel", [psi, psi_prime, density])
+    def test_past_order_limit_is_domain_error(self, kernel):
+        params = ModelParams(gamma=-0.5, nu=1)
+        with pytest.raises(DomainError, match="past n=680"):
+            kernel(eigenvalue(params, 681), params, 0.0)
+
     def test_unit_norm_nu_consistent_mode(self):
         params = ModelParams(gamma=-0.25, nu=2,
                              density_mode=DensityMode.NU_CONSISTENT)
