@@ -24,13 +24,13 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, NonConvergence, shown
-from .information import (cramer_rao, fisher_closed, fisher_numeric, moments,
-                          shannon_entropy)
+from .information import (_I_N_MAX_N, cramer_rao, fisher_closed,
+                          fisher_numeric, moments, shannon_entropy)
 from .quadrature import gaussian_window, integrate
-from .spectrum import (DensityMode, ModelParams, _energies, eigenvalue,
-                       residual, saturation_limit)
-from .thermo import specific_heat_curve
-from .wavefunction import (density, perey_factor, psi, weight,
+from .spectrum import (_N_SAT_MAX, DensityMode, ModelParams, _energies,
+                       eigenvalue, residual, saturation_limit)
+from .thermo import _HEAD, specific_heat_curve
+from .wavefunction import (_PSI_MAX_N, density, perey_factor, psi, weight,
                            weight_coefficient)
 
 # validate's gates in report order, each with the bound its maximum error
@@ -285,6 +285,10 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
         "version": __version__,
         "spec": vars(spec),
         "tolerances": {"eps_sat": spec.eps_sat, **_GATES},
+        # the largest orders psi and I_n take, the bound a saturation index
+        # stays below, and the levels thermo sums directly
+        "limits": {"psi_max_n": _PSI_MAX_N, "i_n_max_n": _I_N_MAX_N,
+                   "n_sat_limit": _N_SAT_MAX, "thermo_head": _HEAD},
         "outputs": {k: str(v) for k, v in written.items()},
         "per_output": per_output,
         "wall_time_s": time.perf_counter() - t0,

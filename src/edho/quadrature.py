@@ -1,5 +1,6 @@
-"""Self-contained integration engine of the Shannon entropy and of the
-quadrature gates of ``validate``; the Fisher information needs none.
+"""Self-contained integration engine of the Shannon entropy, of the
+quadrature gates of ``validate`` and of the thermodynamics' level tail;
+the Fisher information needs none.
 
 The plain trapezoid rule on an explicit symmetric window [-L, L]; callers
 that know their Gaussian scale get L from ``gaussian_window``.  The
@@ -54,7 +55,9 @@ def integrate(integrand, window: float, rel_tol: float) -> tuple[float, float]:
     node.  Returns (value, error_estimate) once the estimate meets
     max(_ABS_TOL, rel_tol * |value|).  The estimate is the last change to
     the sum, but no less than the change before it over _KINK_RATE.
-    Raises NonConvergence after _MAX_REFINEMENTS halvings.
+    Raises NonConvergence after _MAX_REFINEMENTS halvings.  An integrand
+    that maps k nodes to k rows integrates each column at once; value and
+    estimate are then arrays, and every column must meet its tolerance.
     """
     if not 0 < window < math.inf:
         raise ValueError("window half-width must be positive and finite")
@@ -62,23 +65,26 @@ def integrate(integrand, window: float, rel_tol: float) -> tuple[float, float]:
     n = 64
     h = 2.0 * window / n
     fx = np.asarray(integrand(np.linspace(a, window, n + 1)), dtype=float)
-    value = h * (fx.sum() - 0.5 * (fx[0] + fx[-1]))
+    # numpy's elementwise forms only for columns: on one value they cost
+    # more than the rest of a halving's bookkeeping
+    larger, every = (max, bool) if fx.ndim == 1 else (np.maximum, np.all)
+    value = h * (fx.sum(axis=0) - 0.5 * (fx[0] + fx[-1]))
     prev_change = math.inf
     for k in range(1, _MAX_REFINEMENTS + 1):
         h *= 0.5
         mids = a + h * np.arange(1, 2 * n, 2)
         n *= 2
         fx = np.asarray(integrand(mids), dtype=float)
-        refined = 0.5 * value + h * fx.sum()
+        refined = 0.5 * value + h * fx.sum(axis=0)
         change = abs(refined - value)
         value = refined
         # a change that falls faster than _KINK_RATE can be a chance
         # agreement; k >= 3 guards against it on coarse grids
-        err = max(change, prev_change / _KINK_RATE)
-        if k >= 3 and err <= max(_ABS_TOL, rel_tol * abs(value)):
+        err = larger(change, prev_change / _KINK_RATE)
+        if k >= 3 and every(err <= larger(_ABS_TOL, rel_tol * abs(value))):
             return value, err
         prev_change = change
     raise NonConvergence(
         f"no convergence after {_MAX_REFINEMENTS} refinements "
-        f"(last change {change:g})"
+        f"(last change {np.max(change):g})"
     )

@@ -1,10 +1,13 @@
 """Canonical thermodynamics from the saturation-split partition function.
 
 For gamma < 0 the spectrum accumulates at a finite limit, so the partition
-function is a finite sum over the pre-saturation levels plus one term for
-the accumulation point.  Internal energy and specific heat come from exact
-Boltzmann-weighted moments of that discrete level set, never from numeric
-differentiation.
+function is a finite sum over the pre-saturation levels 0..n_sat plus one
+term for the accumulation point.  Internal energy and specific heat come
+from exact Boltzmann-weighted moments of that level set, never from numeric
+differentiation.  No array of all n_sat + 1 levels is built: the first
+_HEAD levels are summed directly, and only where the Boltzmann factor
+reaches past them are the levels _HEAD..n_sat summed by Gregory's form of
+Euler-Maclaurin (``_tail_sum``), so a curve costs the same at any n_sat.
 """
 
 from __future__ import annotations
@@ -15,7 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import integrate
 from .spectrum import ModelParams, _energies, saturation_index, saturation_limit
+
+# levels summed directly; a level set of fewer than 2 * _HEAD levels is
+# summed whole
+_HEAD = 2000
+# exp(-x) is exactly 0 for x > 745.14, so levels with beta d > _CUT add
+# nothing and are cut
+_CUT = 746.0
+# Gregory's coefficients: the weight of the j-th differences at both ends
+_GREGORY = (-1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192)
+# half-width of the tanh-sinh variable of the tail integral: at tau = -4
+# a node lies within 2e-37 of the width past level _HEAD, well under a
+# level even for a width of 2**52
+_TAIL_T = 4.0
+_TAIL_REL_TOL = 1e-13
+_TAIL_BLOCK = 32  # betas whose tail is integrated at once
 
 
 @dataclass(frozen=True)
@@ -31,14 +50,21 @@ class ThermoPoint:
 
 
 def reference_partition_function(beta: float) -> ThermoPoint:
-    """Textbook oscillator: Z = 1/(2 sinh(beta/2)) and its exact U, Cv."""
+    """Textbook oscillator: Z = 1/(2 sinh(beta/2)) and its exact U, Cv.
+
+    Past beta = 1420, where sinh overflows, 1 - exp(-beta) is 1, so
+    Z = exp(-beta/2) (0 past beta = 1490), U = 1/2 and Cv = (beta Z)**2 = 0.
+    """
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
     half = 0.5 * beta
-    z = 1.0 / (2.0 * math.sinh(half))
-    u = 0.5 / math.tanh(half)
-    cv = (half / math.sinh(half)) ** 2
-    return ThermoPoint(beta=beta, Z=z, U=u, Cv=cv, N_used=None)
+    if half < 710.0:
+        sinh = math.sinh(half)
+        z, cv = 0.5 / sinh, (half / sinh) ** 2
+    else:
+        z, cv = math.exp(-half), 0.0
+    return ThermoPoint(beta=beta, Z=z, U=0.5 / math.tanh(half), Cv=cv,
+                       N_used=None)
 
 
 def _point(e0: float, d: np.ndarray, beta: float, n_used: int) -> ThermoPoint:
@@ -46,16 +72,76 @@ def _point(e0: float, d: np.ndarray, beta: float, n_used: int) -> ThermoPoint:
 
     U comes from the offsets d and Cv from the two-pass variance
     sum w (d - (U - e0))**2 / sum w, so neither cancels at low temperature,
-    where U - e0 is tiny.  d is sorted and exp(-x) is exactly 0 for
-    x > 745.14, so the levels past d = 746/beta add nothing and are cut.
+    where U - e0 is tiny.  d is sorted, so the levels past d = _CUT/beta
+    add nothing and are cut.
     """
-    d = d[:np.searchsorted(d, 746.0 / beta, side="right")]
+    d = d[:np.searchsorted(d, _CUT / beta, side="right")]
     w = np.exp(-beta * d)
     w_sum = float(w.sum())
     z = math.exp(-beta * e0) * w_sum
     shift = float((w * d).sum() / w_sum)  # U - e0
-    cv = beta * beta * float((w * (d - shift) ** 2).sum() / w_sum)
+    var = float((w * (d - shift) ** 2).sum() / w_sum)
+    # beta**2 overflows past 1.3e154, where var is 0 (one level left) or tiny
+    cv = beta * beta * var if beta < 1e154 else beta * (beta * var)
     return ThermoPoint(beta=beta, Z=z, U=e0 + shift, Cv=cv, N_used=n_used)
+
+
+def _tail_sum(params: ModelParams, e0: float, n_sat: int, f) -> np.ndarray:
+    """The sum over n = _HEAD..n_sat of f(d_n), d_n = E_n - e0, where f
+    maps a column of offsets to one row of terms per offset.
+
+    Gregory's form of Euler-Maclaurin: the integral of f over
+    [_HEAD, n_sat], plus half the end terms, plus _GREGORY times the 1st to
+    6th forward differences at _HEAD and backward differences at n_sat;
+    exact for polynomials of degree 7.  The integral is taken in tau by
+    tanh-sinh, n = _HEAD + w/(1 + exp(-2s)), s = pi/2 sinh(tau), which
+    keeps the offset of a node from _HEAD exact at any width w.
+    """
+    width = n_sat - _HEAD
+
+    def terms(n):
+        return f((_energies(params, n) - e0)[:, None])
+
+    def integrand(tau):
+        s = 0.5 * math.pi * np.sinh(tau)
+        jac = 0.25 * math.pi * width * np.cosh(tau) / np.cosh(s) ** 2
+        return terms(_HEAD + width / (1.0 + np.exp(-2.0 * s))) * jac[:, None]
+
+    total, _ = integrate(integrand, _TAIL_T, _TAIL_REL_TOL)
+    first = terms(np.arange(_HEAD, _HEAD + 7))
+    last = terms(np.arange(n_sat, n_sat - 7, -1))
+    total += 0.5 * (first[0] + last[0])
+    for j, coefficient in enumerate(_GREGORY, 1):
+        total += coefficient * (np.diff(first, j, axis=0)[0]
+                                + np.diff(last, j, axis=0)[0])
+    return total
+
+
+def _tail_points(params: ModelParams, e0: float, head: np.ndarray,
+                 n_sat: int, betas: np.ndarray) -> list[ThermoPoint]:
+    """Thermo points for betas whose cut reaches past the head levels
+    0.._HEAD-1 (offsets ``head``): the moments of ``_point`` over those,
+    the tail _HEAD..n_sat and the accumulation point.  Z and U - e0 come
+    first, then Cv from sum w (d - (U - e0))**2 over the same three parts,
+    so it does not cancel either."""
+    d_limit = saturation_limit(params) - e0
+
+    def moment(f, shift):
+        # sum of f(d, beta, shift) over the three parts, one per beta
+        return (np.array([f(head, beta, c).sum()
+                          for beta, c in zip(betas, shift)])
+                + _tail_sum(params, e0, n_sat, lambda d: f(d, betas, shift))
+                + f(d_limit, betas, shift))
+
+    zero = np.zeros_like(betas)
+    w_sum = moment(lambda d, beta, c: np.exp(-beta * d), zero)
+    shift = moment(lambda d, beta, c: np.exp(-beta * d) * d, zero) / w_sum
+    var = moment(lambda d, beta, c: np.exp(-beta * d) * (d - c) ** 2,
+                 shift) / w_sum
+    z = np.exp(-betas * e0) * w_sum
+    return [ThermoPoint(beta=float(b), Z=float(zb), U=float(e0 + c),
+                        Cv=float(b * b * v), N_used=n_sat)
+            for b, zb, c, v in zip(betas, z, shift, var)]
 
 
 def specific_heat_curve(params: ModelParams, beta_grid,
@@ -64,7 +150,11 @@ def specific_heat_curve(params: ModelParams, beta_grid,
 
     gamma = 0 routes to the textbook reference.  Otherwise the levels are
     0..n_sat (the saturation index at eps_sat) plus the accumulation point
-    as exactly one pseudo-level.
+    as exactly one pseudo-level.  Fewer than 2 * _HEAD levels are summed
+    whole.  Otherwise only levels 0.._HEAD are built: a beta whose cut
+    stops before level _HEAD sums them directly, bit for bit as the whole
+    set would, and the betas up to _CUT / d_HEAD (a prefix of the grid)
+    add the tail by ``_tail_points``.
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0:
@@ -74,8 +164,20 @@ def specific_heat_curve(params: ModelParams, beta_grid,
     if params.gamma == 0:
         return [reference_partition_function(b) for b in beta_grid]
     n_sat = saturation_index(params, eps_sat)
-    energies = np.append(_energies(params, np.arange(n_sat + 1)),
-                         saturation_limit(params))
+    if n_sat < 2 * _HEAD:
+        energies = np.append(_energies(params, np.arange(n_sat + 1)),
+                             saturation_limit(params))
+        n_tail = 0
+    else:
+        energies = _energies(params, np.arange(_HEAD + 1))
+        n_tail = int(np.count_nonzero(energies[-1] - energies[0]
+                                      <= _CUT / beta_grid))
     e0 = energies[0]
     d = energies - e0
-    return [_point(e0, d, float(b), n_sat) for b in beta_grid]
+    points = []
+    # in blocks, so that the tail's arrays stay small on any grid
+    for i in range(0, n_tail, _TAIL_BLOCK):
+        points += _tail_points(params, e0, d[:-1], n_sat,
+                               beta_grid[i:min(i + _TAIL_BLOCK, n_tail)])
+    return points + [_point(e0, d, float(b), n_sat)
+                     for b in beta_grid[n_tail:]]

@@ -45,6 +45,9 @@ class TestRunSweep:
         assert manifest["tolerances"] == {
             "eps_sat": 1e-6, "residual": 1e-10, "normalization": 1e-8,
             "moment_closed_form": 1e-8, "cramer_rao_bound": 1e-10}
+        assert manifest["limits"] == {
+            "psi_max_n": 680, "i_n_max_n": 10**5, "n_sat_limit": 2**52,
+            "thermo_head": 2000}
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
@@ -173,8 +176,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("gamma, betas_per_call, n_errors", [
         ("-0.5", [4], 0),
-        # NotReached before any level set is built, then once per beta
-        ("-1e-5", [4, 1, 1, 1, 1], 4),
+        # NotReached before any level set is built (n_sat is about 1e20,
+        # past 2**52), then once per beta
+        ("-1e-14", [4, 1, 1, 1, 1], 4),
     ], ids=["healthy", "not-reached"])
     def test_thermo_retries_a_failed_curve_per_beta(self, gamma,
                                                      betas_per_call, n_errors,
@@ -210,10 +214,11 @@ class TestRunSweep:
 # (argv, output, key columns after nu and gamma, number of error rows,
 #  whether a row must fail)
 ERROR_SWEEPS = {
-    # NotReached: the saturation search stops at its cap, once per beta
-    "thermo": (["thermo", "--gamma=-1e-5,-0.5", "--beta-grid", "0.5:5:4"],
+    # NotReached: the saturation index of -1e-14 lies past 2**52, once per
+    # beta
+    "thermo": (["thermo", "--gamma=-1e-14,-0.5", "--beta-grid", "0.5:5:4"],
                "thermo", ["beta"], 4,
-               lambda r: float(r["gamma"]) == -1e-5),
+               lambda r: float(r["gamma"]) == -1e-14),
     # gamma**2 overflows, so no level of -1e300 has an energy
     "thermo-overflow": (["thermo", "--gamma=-1e300,-0.5", "--beta-grid",
                          "0.5:5:4"], "thermo", ["beta"], 4,

@@ -109,3 +109,33 @@ def test_error_estimate_reported():
     value, err = integrate(lambda x: np.exp(-x * x), 9.0, 1e-8)
     assert err >= 0
     assert abs(value - math.sqrt(math.pi)) <= max(err, 1e-12)
+
+
+def test_columns_integrate_at_once():
+    value, err = integrate(
+        lambda x: np.stack([np.exp(-x * x), np.exp(-x * x) * np.cos(x)],
+                           axis=1), 10.0, 1e-12)
+    assert value.shape == err.shape == (2,)
+    np.testing.assert_allclose(
+        value, [math.sqrt(math.pi), math.sqrt(math.pi) * math.exp(-0.25)],
+        rtol=1e-13)
+    assert np.all(err <= 1e-12 * value)
+
+
+def test_every_column_must_converge():
+    # a kink off the grid slows the rule to h**2: that column alone sets
+    # the number of halvings
+    def smooth(x):
+        return np.exp(-x * x)
+
+    def kinked(x):
+        return np.abs(x - 0.123456) * np.exp(-x * x)
+
+    nodes = {}
+    for name, f in [("smooth", smooth), ("kinked", kinked),
+                    ("both", lambda x: np.stack([smooth(x), kinked(x)],
+                                                axis=1))]:
+        sizes = []
+        integrate(lambda x: sizes.append(len(x)) or f(x), 6.0, 1e-8)
+        nodes[name] = sum(sizes)
+    assert nodes["smooth"] < nodes["kinked"] == nodes["both"]

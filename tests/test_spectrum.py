@@ -88,22 +88,34 @@ def test_saturation_index_monotone_in_coupling():
 
 
 def test_saturation_index_not_reached():
-    # n_sat is about 1e8, past the cap of 1e6
+    # n_sat is about 1e20, past 2**52, where n + 1/2 is no longer exact
     with pytest.raises(NotReached):
-        saturation_index(ModelParams(gamma=-1e-5, nu=1), 1e-6)
+        saturation_index(ModelParams(gamma=-1e-14, nu=1), 1e-6)
 
 
 @pytest.mark.parametrize("nu,gamma,eps", [(1, -0.1, 1e-4), (1, -2.0, 1e-3),
                                           (2, -0.3, 1e-5), (2, -1e-3, 0.2)])
 def test_saturation_index_cap_is_exact(nu, gamma, eps, monkeypatch):
-    # NotReached exactly when n_sat > the cap
+    # NotReached exactly when n_sat >= the limit (2**52 unpatched)
     params = ModelParams(gamma=gamma, nu=nu)
     n_sat = saturation_index(params, eps)
-    monkeypatch.setattr(edho.spectrum, "_N_SAT_CAP", n_sat)
+    monkeypatch.setattr(edho.spectrum, "_N_SAT_MAX", n_sat + 1)
     assert saturation_index(params, eps) == n_sat
-    monkeypatch.setattr(edho.spectrum, "_N_SAT_CAP", n_sat - 1)
+    monkeypatch.setattr(edho.spectrum, "_N_SAT_MAX", n_sat)
     with pytest.raises(NotReached):
         saturation_index(params, eps)
+
+
+@pytest.mark.parametrize("nu,gamma", [(1, -1e-8), (1, -3e-13), (2, -3e-13)])
+def test_saturation_index_past_the_old_cap(nu, gamma):
+    # up to about 3.3e15, below 2**52: still the first level within eps
+    params = ModelParams(gamma=gamma, nu=nu)
+    n = saturation_index(params, 1e-6)
+    assert 10**6 < n < 2**52
+    limit = saturation_limit(params)
+    deviation = [(limit - eigenvalue(params, k).energy) / limit
+                 for k in (n - 1, n)]
+    assert deviation[1] < 1e-6 <= deviation[0]
 
 
 def test_small_coupling_recovers_textbook():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,34 @@ from edho import (DomainError, ModelParams, eigenvalue,
                   reference_partition_function, saturation_limit,
                   specific_heat_curve)
 from edho.spectrum import _energies
+from edho.thermo import _CUT, _HEAD, _tail_sum
+
+
+def longdouble_point(gamma, nu, n_sat, beta):
+    """(Z, U, Cv) by direct two-pass sums in longdouble over the levels
+    0..n_sat and the plateau pseudo-level."""
+    g = np.longdouble(gamma)
+    half = np.arange(n_sat + 1, dtype=np.longdouble) + 0.5
+    s = half * half
+    # the positive roots without cancellation
+    if nu == 1:
+        energies = 2 * s / (np.sqrt(s * s * g * g + 4 * s) - s * g)
+    else:
+        energies = 2 * half / np.sqrt(4 - g * (2 * half) ** 2)
+    energies = np.append(energies, 1 / np.abs(g) ** (np.longdouble(1) / nu))
+    d = energies - energies[0]
+    beta = np.longdouble(beta)
+    w = np.exp(-beta * d)
+    shift = (w * d).sum() / w.sum()
+    cv = beta**2 * (w * (d - shift) ** 2).sum() / w.sum()
+    return (float(np.exp(-beta * energies[0]) * w.sum()),
+            float(energies[0] + shift), float(cv))
+
+
+def head_boundary(params):
+    """The beta at or below which the underflow cut reaches past the head."""
+    e = _energies(params, [0, _HEAD])
+    return _CUT / (e[1] - e[0])
 
 
 class TestReference:
@@ -31,6 +60,14 @@ class TestReference:
     def test_requires_positive_beta(self):
         with pytest.raises(DomainError):
             reference_partition_function(0.0)
+
+    @pytest.mark.parametrize("beta", [1000.0, 1419.0, 1421.0, 1480.0])
+    def test_past_sinh_overflow(self, beta):
+        # sinh(beta/2) overflows past beta = 1420; Z = exp(-beta/2) there,
+        # a subnormal number, and U, Cv are at their limits
+        point = reference_partition_function(beta)
+        assert point.Z == pytest.approx(math.exp(-beta / 2), rel=1e-13)
+        assert (point.U, point.Cv) == (0.5, 0.0)
 
 
 class TestPartitionFunction:
@@ -133,8 +170,9 @@ class TestSpecificHeatCurve:
         assert point.Cv == pytest.approx(float(cv), rel=1e-12, abs=0)
 
     def test_underflow_cut_changes_nothing(self):
-        # the curve sums only the levels with exp(-beta d) > 0; the same
-        # two-pass sums over every level must give the same numbers
+        # the curve sums only the levels with exp(-beta d) > 0; where that
+        # cut stops inside the head, the same two-pass sums over every
+        # level give the same numbers bit for bit
         params = ModelParams(gamma=-3.2e-3, nu=1)
         betas = [0.01, 2.4, 20.0, 100.0]
         curve = specific_heat_curve(params, betas)
@@ -142,7 +180,13 @@ class TestSpecificHeatCurve:
         energies = np.append(_energies(params, np.arange(n_sat + 1)),
                              saturation_limit(params))
         d = energies - energies[0]
-        for beta, point in zip(betas, curve):
+        # beta = 0.01 and 2.4 reach past the head: the tail sums them
+        assert betas[1] < head_boundary(params) < betas[2]
+        for beta, point in zip(betas[:2], curve):
+            want = longdouble_point(-3.2e-3, 1, n_sat, beta)
+            for got, ref in zip((point.Z, point.U, point.Cv), want):
+                assert got == pytest.approx(ref, rel=1e-13, abs=0)
+        for beta, point in zip(betas[2:], curve[2:]):
             w = np.exp(-beta * d)
             z = math.exp(-beta * energies[0]) * w.sum()
             shift = (w * d).sum() / w.sum()
@@ -150,6 +194,83 @@ class TestSpecificHeatCurve:
             assert (point.Z, point.U, point.Cv) == (z, energies[0] + shift, cv)
         # most of the levels are cut at low temperature
         assert np.count_nonzero(np.exp(-100.0 * d)) < 100 < n_sat
+
+    # n_sat from about 3e3 (summed whole) to 3e5, at nu = 1 and 2
+    @pytest.mark.parametrize("nu,gamma", [(1, -0.3), (1, -0.2), (1, -0.03),
+                                          (1, -3.2e-3), (2, -0.05),
+                                          (2, -0.02), (2, -3e-4),
+                                          (2, -5e-6)])
+    def test_tail_against_longdouble_sum(self, nu, gamma):
+        params = ModelParams(gamma=gamma, nu=nu)
+        edge = head_boundary(params)
+        betas = [1e-3, 0.05 * edge, 0.5 * edge, 0.999 * edge, 1.001 * edge,
+                 2 * edge]
+        curve = specific_heat_curve(params, betas)
+        for beta, point in zip(betas, curve):
+            want = longdouble_point(gamma, nu, point.N_used, beta)
+            for got, ref in zip((point.Z, point.U, point.Cv), want):
+                assert got == pytest.approx(ref, rel=1e-13, abs=0), beta
+
+    @pytest.mark.parametrize("beta", [0.01, 0.03])
+    def test_tail_sum_against_direct_sum(self, beta):
+        # at weak coupling E_n is close to n + 1/2, so the tail terms fall
+        # by e over 1/beta levels; at beta = 0.03 the sixth Gregory term
+        # is worth 6e-14 of the tail, which the head hides in the curve
+        params = ModelParams(gamma=-1e-4, nu=1)
+        e0 = float(_energies(params, 0))
+        tail, = _tail_sum(params, e0, 10**7, lambda d: np.exp(-beta * d))
+        # past 40000 levels the terms are below exp(-400) of the first
+        d = _energies(params, np.arange(_HEAD, _HEAD + 40000)) - e0
+        direct = float(np.exp(-beta * d.astype(np.longdouble)).sum())
+        assert tail == pytest.approx(direct, rel=2e-14, abs=0)
+
+    def test_tail_past_the_old_level_cap(self):
+        # n_sat is about 1e7; the oracle sums every level in chunks
+        gamma, beta = -1e-4, 0.05
+        params = ModelParams(gamma=gamma, nu=1)
+        point, = specific_heat_curve(params, [beta])
+        n_sat = point.N_used
+        assert n_sat > 10**6
+        e0 = float(_energies(params, 0))
+        chunks = [(start, min(start + 10**6, n_sat + 1))
+                  for start in range(0, n_sat + 1, 10**6)]
+
+        def total(f):
+            plateau = np.array([saturation_limit(params) - e0])
+            return sum(float(f(_energies(params, np.arange(*chunk))
+                               - e0).sum())
+                       for chunk in chunks) + float(f(plateau).sum())
+
+        w_sum = total(lambda d: np.exp(-beta * d))
+        shift = total(lambda d: np.exp(-beta * d) * d) / w_sum
+        cv = beta**2 * total(
+            lambda d: np.exp(-beta * d) * (d - shift) ** 2) / w_sum
+        assert point.Z == pytest.approx(math.exp(-beta * e0) * w_sum,
+                                        rel=1e-13)
+        assert point.U == pytest.approx(e0 + shift, rel=1e-13)
+        assert point.Cv == pytest.approx(cv, rel=1e-13)
+
+    def test_no_level_set_is_built(self):
+        # all n_sat + 1 = 3.1e5 levels would take 2.5 MB per array
+        params = ModelParams(gamma=-3.2e-3, nu=1)
+        betas = np.linspace(0.01, 20, 80)
+        tracemalloc.start()
+        try:
+            specific_heat_curve(params, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("gamma", [0.0, -0.5])
+    def test_frozen_limits_at_huge_beta(self, nu, gamma):
+        # beta**2 overflows and the variance is exactly 0; sinh(beta/2)
+        # overflows on the gamma = 0 route
+        params = ModelParams(gamma=gamma, nu=nu)
+        point, = specific_heat_curve(params, [1e300])
+        e0 = eigenvalue(params, 0).energy
+        assert (point.Z, point.U, point.Cv) == (0.0, e0, 0.0)
 
     def test_grid_validation(self):
         params = ModelParams(gamma=-0.5, nu=1)
