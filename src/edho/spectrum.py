@@ -137,37 +137,60 @@ def saturation_limit(params: ModelParams) -> float:
 
 
 def saturation_index(params: ModelParams, eps: float = 1e-6) -> int:
-    """Smallest n whose relative deviation from the saturation limit is < eps.
+    """Smallest n whose relative deviation from the saturation limit is < eps,
+    as far as rounding resolves it.
 
     The deviation d = (limit - E_n)/limit falls with n and inverts exactly:
     n + 1/2 = (1 - d)/(|gamma| sqrt(d)) for nu = 1, 2n + 1 = 2(1 - d)/
-    sqrt(|gamma| (2d - d**2)) for nu = 2.  The first n past the inverse at
-    d = eps is then checked by single steps; NotReached iff n >= _N_SAT_MAX.
-    The steps are few except near 2**52, where the computed d stays flat
-    over thousands of levels: one such search took 8,934 steps (0.1 s).
+    sqrt(|gamma| (2d - d**2)) for nu = 2.  The search starts at the first
+    n past the inverse at d = eps, gallops away from it in doubling steps
+    until the computed d crosses eps, and bisects that bracket; it returns
+    the n with d(n - 1) >= eps > d(n).  NotReached iff n >= _N_SAT_MAX.
+
+    The computed d carries a rounding error of a few 1e-16, while one level
+    moves it by about 2 eps / n.  Once n passes about 1e15 eps, that error
+    outweighs many levels: the computed d is no longer monotone there, and
+    the n returned is one of several crossings.  The gallop and bisection
+    evaluate at most about 2 log2(2**52) = 104 levels at any n and eps.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     limit = saturation_limit(params)
     a = abs(params.gamma)
 
-    def deviation(n):
-        return (limit - float(_energies(params, n))) / limit
+    def within(n):
+        # level -1 is never within eps and level _N_SAT_MAX always is, so
+        # every search ends with a bracket inside [-1, _N_SAT_MAX]
+        return n >= 0 and (n >= _N_SAT_MAX
+                           or (limit - float(_energies(params, n))) / limit
+                           < eps)
 
     if params.nu == 1:
         n_eps = (1.0 - eps) / math.sqrt(eps) / a - 0.5
     else:
         n_eps = ((1.0 - eps) / math.sqrt(2.0 * eps - eps * eps)
                  / math.sqrt(a) - 0.5)
-    # the search starts no higher than _N_SAT_MAX (n_eps may be inf) and
-    # evaluates no level at or past it
+    # n_eps may be inf
     n = max(math.floor(min(n_eps, _N_SAT_MAX - 1)) + 1, 0)
-    while n > 0 and deviation(n - 1) < eps:
-        n -= 1
-    while n < _N_SAT_MAX and deviation(n) >= eps:
-        n += 1
-    if n < _N_SAT_MAX:
-        return n
+    step = 1
+    if within(n):
+        lo, hi = n - 1, n
+        while within(lo):
+            lo, hi = max(lo - step, -1), lo
+            step *= 2
+    else:
+        lo, hi = n, n + 1
+        while not within(hi):
+            lo, hi = hi, min(hi + step, _N_SAT_MAX)
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if within(mid):
+            hi = mid
+        else:
+            lo = mid
+    if hi < _N_SAT_MAX:
+        return hi
     raise NotReached(f"no n < {_N_SAT_MAX} within eps={eps} of the "
                      "saturation limit")
 

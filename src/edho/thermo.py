@@ -21,8 +21,8 @@ from .errors import DomainError
 from .quadrature import integrate
 from .spectrum import ModelParams, _energies, saturation_index, saturation_limit
 
-# levels summed directly; a level set of fewer than 2 * _HEAD levels is
-# summed whole
+# levels summed directly; a level set too short for the tail's Gregory
+# ends, n_sat < _HEAD + len(_GREGORY), is summed whole
 _HEAD = 2000
 # exp(-x) is exactly 0 for x > 745.14, so levels with beta d > _CUT add
 # nothing and are cut
@@ -108,8 +108,9 @@ def _tail_sum(params: ModelParams, e0: float, n_sat: int, f) -> np.ndarray:
         return terms(_HEAD + width / (1.0 + np.exp(-2.0 * s))) * jac[:, None]
 
     total, _ = integrate(integrand, _TAIL_T, _TAIL_REL_TOL)
-    first = terms(np.arange(_HEAD, _HEAD + 7))
-    last = terms(np.arange(n_sat, n_sat - 7, -1))
+    ends = len(_GREGORY) + 1  # the levels the differences take at each end
+    first = terms(np.arange(_HEAD, _HEAD + ends))
+    last = terms(np.arange(n_sat, n_sat - ends, -1))
     total += 0.5 * (first[0] + last[0])
     for j, coefficient in enumerate(_GREGORY, 1):
         total += coefficient * (np.diff(first, j, axis=0)[0]
@@ -126,18 +127,23 @@ def _tail_points(params: ModelParams, e0: float, head: np.ndarray,
     so it does not cancel either."""
     d_limit = saturation_limit(params) - e0
 
-    def moment(f, shift):
-        # sum of f(d, beta, shift) over the three parts, one per beta
-        return (np.array([f(head, beta, c).sum()
+    def moments(*fs, shift):
+        # each f(d, beta, shift) summed over the three parts, one value per
+        # beta; the tails of all fs are taken in one integral
+        tails = _tail_sum(params, e0, n_sat, lambda d: np.concatenate(
+            [f(d, betas, shift) for f in fs], axis=1))
+        return [np.array([f(head, beta, c).sum()
                           for beta, c in zip(betas, shift)])
-                + _tail_sum(params, e0, n_sat, lambda d: f(d, betas, shift))
-                + f(d_limit, betas, shift))
+                + tail + f(d_limit, betas, shift)
+                for f, tail in zip(fs, np.split(tails, len(fs)))]
 
-    zero = np.zeros_like(betas)
-    w_sum = moment(lambda d, beta, c: np.exp(-beta * d), zero)
-    shift = moment(lambda d, beta, c: np.exp(-beta * d) * d, zero) / w_sum
-    var = moment(lambda d, beta, c: np.exp(-beta * d) * (d - c) ** 2,
-                 shift) / w_sum
+    w_sum, w_d = moments(lambda d, beta, c: np.exp(-beta * d),
+                         lambda d, beta, c: np.exp(-beta * d) * d,
+                         shift=np.zeros_like(betas))
+    shift = w_d / w_sum
+    w_var, = moments(lambda d, beta, c: np.exp(-beta * d) * (d - c) ** 2,
+                     shift=shift)
+    var = w_var / w_sum
     z = np.exp(-betas * e0) * w_sum
     return [ThermoPoint(beta=float(b), Z=float(zb), U=float(e0 + c),
                         Cv=float(b * b * v), N_used=n_sat)
@@ -150,11 +156,11 @@ def specific_heat_curve(params: ModelParams, beta_grid,
 
     gamma = 0 routes to the textbook reference.  Otherwise the levels are
     0..n_sat (the saturation index at eps_sat) plus the accumulation point
-    as exactly one pseudo-level.  Fewer than 2 * _HEAD levels are summed
-    whole.  Otherwise only levels 0.._HEAD are built: a beta whose cut
-    stops before level _HEAD sums them directly, bit for bit as the whole
-    set would, and the betas up to _CUT / d_HEAD (a prefix of the grid)
-    add the tail by ``_tail_points``.
+    as exactly one pseudo-level.  Below n_sat = _HEAD + len(_GREGORY) they
+    are summed whole.  Otherwise only levels 0.._HEAD are built: a beta
+    whose cut stops before level _HEAD sums them directly, bit for bit as
+    the whole set would, and the betas up to _CUT / d_HEAD (a prefix of the
+    grid) add the tail by ``_tail_points``.
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0:
@@ -164,7 +170,7 @@ def specific_heat_curve(params: ModelParams, beta_grid,
     if params.gamma == 0:
         return [reference_partition_function(b) for b in beta_grid]
     n_sat = saturation_index(params, eps_sat)
-    if n_sat < 2 * _HEAD:
+    if n_sat < _HEAD + len(_GREGORY):
         energies = np.append(_energies(params, np.arange(n_sat + 1)),
                              saturation_limit(params))
         n_tail = 0

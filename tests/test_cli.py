@@ -199,6 +199,31 @@ class TestRunSweep:
         assert len(set(errors)) <= 1
         assert all(e.startswith("NotReached: ") for e in errors)
 
+    @pytest.mark.parametrize("nu, gamma, eps", [
+        ("1", "-1e-06", "1e-12"),
+        ("2", "-4.015749210286968e-17", "8.7213686928063e-13")])
+    def test_thermo_at_a_tight_eps_sat(self, nu, gamma, eps, tmp_path,
+                                       monkeypatch):
+        # n_sat is about 1e12 and 1.2e14, where the computed deviation from
+        # the limit stays within its rounding of eps over 1e8 levels and
+        # more; the saturation search still evaluates few of them
+        levels = []
+        energies = edho.spectrum._energies
+
+        def counting(params, ns):
+            levels.append(ns)
+            # fail at once rather than after a search that may not end
+            assert len(levels) <= 2 * 53
+            return energies(params, ns)
+
+        monkeypatch.setattr(edho.spectrum, "_energies", counting)
+        assert main(["thermo", "--nu", nu, f"--gamma={gamma}", "--eps-sat",
+                     eps, "--beta-grid", "0.1:20:5",
+                     "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "thermo.csv")
+        assert len(rows) == 5 and not any(r["error"] for r in rows)
+        assert 1e11 < int(rows[0]["N_used"]) < 2**52
+
     def test_density_and_perey_csv(self, tmp_path):
         spec = SweepSpec(gamma_list=(-0.5,), n_min=2, n_max=2,
                          x_grid=tuple(np.linspace(-4, 4, 81)),

@@ -106,6 +106,34 @@ def test_saturation_index_cap_is_exact(nu, gamma, eps, monkeypatch):
         saturation_index(params, eps)
 
 
+@pytest.mark.parametrize("nu,gamma,eps", [(1, -1e-6, 1e-12),
+                                          (1, -1e-9, 1e-12),
+                                          (2, -4.015749210286968e-17,
+                                           8.7213686928063e-13)])
+def test_saturation_index_search_is_bounded(nu, gamma, eps, monkeypatch):
+    # n_sat of about 1e12, 1e15 and 1.2e14: one level moves the deviation
+    # by less than its rounding, so it is flat over many levels; single
+    # steps from the closed-form start took over 2e5 levels on the third
+    params = ModelParams(gamma=gamma, nu=nu)
+    levels = []
+    energies = edho.spectrum._energies
+
+    def counting(params, ns):
+        levels.append(ns)
+        # fail at once rather than after a search that may not end
+        assert len(levels) <= 2 * 53
+        return energies(params, ns)
+
+    monkeypatch.setattr(edho.spectrum, "_energies", counting)
+    n = saturation_index(params, eps)
+    assert 10**11 < n < 2**52
+    # the level returned is where the computed deviation crosses eps
+    limit = saturation_limit(params)
+    deviation = [(limit - eigenvalue(params, k).energy) / limit
+                 for k in (n - 1, n)]
+    assert deviation[1] < eps <= deviation[0]
+
+
 @pytest.mark.parametrize("nu,gamma", [(1, -1e-8), (1, -3e-13), (2, -3e-13)])
 def test_saturation_index_past_the_old_cap(nu, gamma):
     # up to about 3.3e15, below 2**52: still the first level within eps

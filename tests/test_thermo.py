@@ -8,7 +8,7 @@ from edho import (DomainError, ModelParams, eigenvalue,
                   reference_partition_function, saturation_limit,
                   specific_heat_curve)
 from edho.spectrum import _energies
-from edho.thermo import _CUT, _HEAD, _tail_sum
+from edho.thermo import _CUT, _GREGORY, _HEAD, _point, _tail_sum
 
 
 def longdouble_point(gamma, nu, n_sat, beta):
@@ -195,7 +195,7 @@ class TestSpecificHeatCurve:
         # most of the levels are cut at low temperature
         assert np.count_nonzero(np.exp(-100.0 * d)) < 100 < n_sat
 
-    # n_sat from about 3e3 (summed whole) to 3e5, at nu = 1 and 2
+    # n_sat from about 3e3 to 3e5, at nu = 1 and 2
     @pytest.mark.parametrize("nu,gamma", [(1, -0.3), (1, -0.2), (1, -0.03),
                                           (1, -3.2e-3), (2, -0.05),
                                           (2, -0.02), (2, -3e-4),
@@ -209,6 +209,24 @@ class TestSpecificHeatCurve:
         for beta, point in zip(betas, curve):
             want = longdouble_point(gamma, nu, point.N_used, beta)
             for got, ref in zip((point.Z, point.U, point.Cv), want):
+                assert got == pytest.approx(ref, rel=1e-13, abs=0), beta
+
+    @pytest.mark.parametrize("nu,gamma", [(1, -0.4985), (2, -0.1242)])
+    def test_shortest_tail_against_whole_sum(self, nu, gamma):
+        # n_sat = _HEAD + len(_GREGORY) is the shortest level set whose
+        # tail Gregory sums: its seven points at each end just fit
+        params = ModelParams(gamma=gamma, nu=nu)
+        edge = head_boundary(params)
+        betas = [1e-3, 0.05 * edge, 0.5 * edge, 0.999 * edge]
+        curve = specific_heat_curve(params, betas)
+        n_sat = curve[0].N_used
+        assert n_sat == _HEAD + len(_GREGORY)
+        energies = np.append(_energies(params, np.arange(n_sat + 1)),
+                             saturation_limit(params))
+        for beta, point in zip(betas, curve):
+            want = _point(energies[0], energies - energies[0], beta, n_sat)
+            for got, ref in zip((point.Z, point.U, point.Cv),
+                                (want.Z, want.U, want.Cv)):
                 assert got == pytest.approx(ref, rel=1e-13, abs=0), beta
 
     @pytest.mark.parametrize("beta", [0.01, 0.03])
