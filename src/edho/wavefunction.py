@@ -22,21 +22,59 @@ from .spectrum import DensityMode, EnergyLevel, ModelParams
 # -0.5), 6.4e-12 off at 690 and 1.2e-9 off at 700
 _PSI_MAX_N = 680
 
+# points per block of hermite_fn_pair: its three 256 KB buffers stay in L2.
+# On the 175k points of a Shannon grid at n = 680 (2-CPU Xeon, 2 MB L2 per
+# core) one call took 128 ms, against 151-154 ms at 2**13-2**14, 141-220 ms
+# at 2**16-2**17, 304 ms unblocked and 581 ms one new array per operation
+_BLOCK = 2 ** 15
+
+
+def _recurrence(n: int, y: np.ndarray, bufs: np.ndarray):
+    """h_n(y), h_{n-1}(y) for a 1-D y in two of the three rows of bufs.
+
+    The rows rotate, so no step allocates; each step rounds exactly as
+    y * sqrt(2/(k+1)) * h_k - sqrt(k/(k+1)) * h_{k-1} does.
+    """
+    h_prev, h, new = bufs
+    h_prev.fill(0.0)
+    np.multiply(y, -0.5, out=h)
+    h *= y
+    np.exp(h, out=h)
+    h *= math.pi ** -0.25
+    for k in range(n):
+        np.multiply(y, math.sqrt(2.0 / (k + 1)), out=new)
+        new *= h
+        h_prev *= math.sqrt(k / (k + 1))
+        new -= h_prev
+        h_prev, h, new = h, new, h_prev
+    return h, h_prev
+
 
 def hermite_fn_pair(n: int, y):
     """(h_n(y), h_{n-1}(y)) by upward three-term recurrence.
 
     h_{k+1} = y sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}; h_{-1} = 0.
+    Runs in place, with three rotating buffers, on blocks of _BLOCK points,
+    so no step allocates and a block stays in cache; y is never written.
+    Returns two new C-ordered arrays of y's shape (NumPy scalars for a
+    scalar y), bit for bit those of the formula evaluated one new array
+    per operation.
     """
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
-    y_arr = np.asarray(y, dtype=float)
-    h_prev = np.zeros_like(y_arr)[()]
-    h = math.pi ** -0.25 * np.exp(-0.5 * y_arr * y_arr)
-    for k in range(n):
-        h, h_prev = (y_arr * math.sqrt(2.0 / (k + 1)) * h
-                     - math.sqrt(k / (k + 1)) * h_prev), h
-    return h, h_prev
+    y = np.asarray(y, dtype=float)
+    flat = y.reshape(-1)  # a copy only when y is not C-ordered
+    if flat.size <= _BLOCK:
+        h, h_prev = _recurrence(n, flat, np.empty((3, flat.size)))
+    else:
+        h, h_prev = np.empty((2, flat.size))
+        bufs = np.empty((3, _BLOCK))
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            part = flat[block]
+            h[block], h_prev[block] = _recurrence(n, part,
+                                                  bufs[:, :part.size])
+    return h.reshape(y.shape)[()], h_prev.reshape(y.shape)[()]
 
 
 def weight_coefficient(params: ModelParams, level: EnergyLevel | None = None) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from edho import (ModelParams, NonConvergence, eigenvalue, entropy_density,
                   gaussian_window, integrate)
+from edho import quadrature
 from edho.wavefunction import hermite_fn_pair
 from shannon_oracle import shannon_by_quad
 
@@ -139,3 +140,77 @@ def test_every_column_must_converge():
         integrate(lambda x: sizes.append(len(x)) or f(x), 6.0, 1e-8)
         nodes[name] = sum(sizes)
     assert nodes["smooth"] < nodes["kinked"] == nodes["both"]
+
+
+def _integrate_by_grids(integrand, window, rel_tol):
+    """``integrate`` with one integrand call per grid (65, 64, 128, 256, ...
+    nodes): the reference whose results ``integrate`` must equal bit for
+    bit."""
+    a = -window
+    n = 64
+    h = 2.0 * window / n
+    fx = np.asarray(integrand(np.linspace(a, window, n + 1)), dtype=float)
+    larger, every = (max, bool) if fx.ndim == 1 else (np.maximum, np.all)
+    value = h * (fx.sum(axis=0) - 0.5 * (fx[0] + fx[-1]))
+    prev_change = math.inf
+    for k in range(1, quadrature._MAX_REFINEMENTS + 1):
+        h *= 0.5
+        mids = a + h * np.arange(1, 2 * n, 2)
+        n *= 2
+        fx = np.asarray(integrand(mids), dtype=float)
+        refined = 0.5 * value + h * fx.sum(axis=0)
+        change = abs(refined - value)
+        value = refined
+        err = larger(change, prev_change / quadrature._KINK_RATE)
+        if k >= 3 and every(err <= larger(quadrature._ABS_TOL,
+                                          rel_tol * abs(value))):
+            return value, err
+        prev_change = change
+    raise NonConvergence(
+        f"no convergence after {quadrature._MAX_REFINEMENTS} refinements "
+        f"(last change {np.max(change):g})"
+    )
+
+
+_KINKED = ModelParams(gamma=-0.85, nu=1)
+_KINKED_LEVEL = eigenvalue(_KINKED, 22)
+
+# (integrand, window, rel_tol): the Gaussian stops at 513 nodes, the
+# kinked rho ln rho of test_kinked_integrand_stops_late_enough and the
+# columns (one kinked) well past them, the step never
+_BY_GRIDS_CASES = {
+    "gaussian": (lambda x: np.exp(-x * x), gaussian_window(1.0, 0), 1e-8),
+    "kinked": (lambda x: -entropy_density(_KINKED_LEVEL, _KINKED, x),
+               gaussian_window(_KINKED_LEVEL.lam, 22), 1e-10),
+    "columns": (lambda x: np.stack([np.exp(-x * x),
+                                    np.abs(x - 0.123456) * np.exp(-x * x)],
+                                   axis=1), 6.0, 1e-8),
+    "step": (lambda x: (x > 0.123456).astype(float), 1.0, 1e-16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BY_GRIDS_CASES))
+def test_first_513_nodes_in_one_call_change_nothing(case):
+    # the same value and estimate bit for bit, or the same NonConvergence,
+    # from the same nodes: the first call takes the first four grids of
+    # the grid-by-grid rule in their order, every later call one grid
+    f, window, rel_tol = _BY_GRIDS_CASES[case]
+    results, calls = [], []
+    for rule in (integrate, _integrate_by_grids):
+        nodes = []
+        try:
+            results.append(rule(lambda x: nodes.append(x) or f(x), window,
+                                rel_tol))
+        except NonConvergence as exc:
+            results.append(str(exc))
+        calls.append(nodes)
+    batched, by_grids = calls
+    assert [np.size(x) for x in by_grids[:4]] == [65, 64, 128, 256]
+    assert np.array_equal(batched[0], np.concatenate(by_grids[:4]))
+    assert len(batched) == len(by_grids) - 3
+    assert all(np.array_equal(x, y) for x, y in zip(batched[1:], by_grids[4:]))
+    if case == "step":
+        assert results[0] == results[1]  # NonConvergence, same last change
+    else:
+        assert [np.asarray(r).tobytes() for r in results[0]] == \
+            [np.asarray(r).tobytes() for r in results[1]]

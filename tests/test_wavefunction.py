@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,41 @@ from edho import (DensityMode, DomainError, ModelParams, density,
                   density_gradient_sq_terms, eigenvalue, entropy_density,
                   gaussian_window, integrate, perey_factor, psi, psi_prime,
                   weight)
-from edho.wavefunction import hermite_fn_pair
+from edho.wavefunction import _BLOCK, hermite_fn_pair
 
 
 def _norm(level, params):
     value, _ = integrate(lambda x: density(level, params, x),
                          gaussian_window(level.lam, level.n), 1e-11)
     return value
+
+
+def _hermite_by_steps(n, y):
+    """The recurrence as one new array per operation: the reference of the
+    in-place kernel, whose results must equal it bit for bit."""
+    y_arr = np.asarray(y, dtype=float)
+    h_prev = np.zeros_like(y_arr)[()]
+    h = math.pi ** -0.25 * np.exp(-0.5 * y_arr * y_arr)
+    for k in range(n):
+        h, h_prev = (y_arr * math.sqrt(2.0 / (k + 1)) * h
+                     - math.sqrt(k / (k + 1)) * h_prev), h
+    return h, h_prev
+
+
+def _grid():
+    return np.random.default_rng(19).uniform(-40.0, 40.0, (513, 101))
+
+
+# two blocks and a ragged third; one block; Fortran order; a strided view
+_SHAPES = {
+    "ragged": lambda: np.random.default_rng(7).uniform(-40.0, 40.0, 70_001),
+    "grid": _grid,
+    "transposed": lambda: _grid().T,
+    "strided": lambda: _grid()[::3, 1::2],
+    "0-d": lambda: np.array(-2.5),
+    "float": lambda: 3.25,
+    "empty": lambda: np.empty(0),
+}
 
 
 class TestHermite:
@@ -48,6 +77,33 @@ class TestHermite:
     def test_no_overflow_large_order(self):
         values = hermite_fn_pair(1000, np.linspace(-40, 40, 81))[0]
         assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 60, 200, 680])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_in_place_blocks_equal_the_step_formula(self, n, shape):
+        y = _SHAPES[shape]()
+        before = np.array(y, copy=True)
+        h, h_prev = hermite_fn_pair(n, y)
+        expected = _hermite_by_steps(n, y)
+        assert np.array_equal(h, expected[0])
+        assert np.array_equal(h_prev, expected[1])
+        assert np.shape(h) == np.shape(h_prev) == np.shape(y)
+        assert np.array_equal(np.asarray(y), before)  # the caller's y
+        assert not np.shares_memory(h, h_prev)
+        assert not np.shares_memory(h, y)
+        assert not np.shares_memory(h_prev, y)
+
+    def test_peak_memory_is_the_two_outputs(self):
+        # the outputs and three block buffers; the step-by-step formula
+        # held four arrays of y's size at once
+        y = np.linspace(-30.0, 30.0, 400_000)
+        tracemalloc.start()
+        try:
+            hermite_fn_pair(20, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * y.nbytes + 4 * _BLOCK * y.itemsize
 
 
 class TestNormalization:
@@ -244,6 +300,7 @@ def test_scalar_input_gives_the_array_element(kernel):
     xs = np.array([-7.5, -1.25, 0.0, 0.5, 3.0, 40.0])
     arrays = SCALAR_KERNELS[kernel](xs)
     for i, x in enumerate(xs):
-        for value, array in zip(SCALAR_KERNELS[kernel](float(x)), arrays):
-            assert np.ndim(value) == 0 and isinstance(value, float)
-            assert value == array[i]
+        for scalar in (float(x), np.array(x)):
+            for value, array in zip(SCALAR_KERNELS[kernel](scalar), arrays):
+                assert np.ndim(value) == 0 and isinstance(value, float)
+                assert value == array[i]
