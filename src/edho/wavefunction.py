@@ -64,16 +64,12 @@ def hermite_fn_pair(n: int, y):
         raise DomainError(f"order must be non-negative, got {n}")
     y = np.asarray(y, dtype=float)
     flat = y.reshape(-1)  # a copy only when y is not C-ordered
-    if flat.size <= _BLOCK:
-        h, h_prev = _recurrence(n, flat, np.empty((3, flat.size)))
-    else:
-        h, h_prev = np.empty((2, flat.size))
-        bufs = np.empty((3, _BLOCK))
-        for start in range(0, flat.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            part = flat[block]
-            h[block], h_prev[block] = _recurrence(n, part,
-                                                  bufs[:, :part.size])
+    h, h_prev = np.empty((2, flat.size))
+    bufs = np.empty((3, min(flat.size, _BLOCK)))
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        part = flat[block]
+        h[block], h_prev[block] = _recurrence(n, part, bufs[:, :part.size])
     return h.reshape(y.shape)[()], h_prev.reshape(y.shape)[()]
 
 
