@@ -17,7 +17,7 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import islice, repeat, starmap
 from pathlib import Path, PurePath
 
 import numpy as np
@@ -135,30 +135,60 @@ class SweepSpec:
                            permissive=self.permissive)
 
 
-def _fmt(value):
-    # csv.writer prints None as an empty field and the rest through str()
-    return format(value, ".17g") if isinstance(value, float) else value
+_FMT = "%.17g".__mod__
+# rows per write, so a cell's text is never held whole; chunks of 2048
+# rows raised the tables benchmark's peak RSS by about 0.2 MB
+_CHUNK = 256
 
 
-def _write_csv(path: Path, header: list[str], rows) -> dict[str, int]:
-    """Write the rows; returns their count and that of the error rows.
+def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
+    """Write the cells' rows; returns their count and that of the error rows.
 
-    Rows of numbers and an empty error go through one template, which
-    prints exactly what ``_fmt`` and ``csv.writer`` print for them (their
-    integers stay below 2**52, see SweepSpec); rows with an error or a
-    blank value keep the writer, whose quoting an error text may need."""
-    template = ",".join(["%.17g"] * (len(header) - 1)) + ",%s\r\n"
-    n_rows = n_errors = 0
+    A cell is (keys, columns, error): the text of the keys all its rows
+    share, then each further column as a sequence of one value per row
+    (strings are written as they are) or as one value all rows share (None
+    is a blank); a cell without a sequence is one row.  Each value is
+    formatted once, by ``%.17g``, which prints a number exactly as
+    ``csv.writer`` prints its ``format(value, ".17g")`` (integers stay
+    below 2**52, see SweepSpec).  The rows of an error cell go through
+    ``csv.writer``, whose quoting an error text may need."""
+    counts = {"rows": 0, "error_rows": 0}
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for n_rows, row in enumerate(rows, 1):
-            if row[-1] or None in row:
-                n_errors += bool(row[-1])
-                writer.writerow([_fmt(v) for v in row])
-            else:
-                fh.write(template % row)
-    return {"rows": n_rows, "error_rows": n_errors}
+
+        def write(keys, columns, error):
+            # each column's text: one string all rows share, or one per row
+            fields, size = [*keys], 0
+            for c in columns:
+                if hasattr(c, "__len__"):
+                    fields.append(c if isinstance(c[0], str)
+                                  else map(_FMT, c))
+                    size = len(c)
+                else:
+                    fields.append("" if c is None else _FMT(c))
+            fields.append(error)
+            if not (size or error):  # one row, all of it shared
+                counts["rows"] += 1
+                fh.write(",".join(fields) + "\r\n")
+                return
+            size = max(size, 1)
+            counts["rows"] += size
+            rows = zip(*[repeat(f, size) if isinstance(f, str) else f
+                         for f in fields])
+            if error:
+                counts["error_rows"] += size
+                writer.writerows(rows)
+                return
+            lines = map(",".join, rows)
+            while chunk := list(islice(lines, _CHUNK)):
+                fh.write("\r\n".join(chunk) + "\r\n")
+
+        # starmap lets go of each cell once it is written, so no cell is
+        # held while the next one is computed
+        for _ in starmap(write, cells):
+            pass
+    return counts
 
 
 _DEFAULT_BETAS = tuple(np.linspace(0.1, 10.0, 50))
@@ -172,22 +202,23 @@ _AXES = {
 }
 
 
-# Each compute maps (spec, params, cell) to one tuple of values per point;
-# a cell is either a whole first axis or one value of it.  A multi-point
-# compute does all its work before it returns and hands the values back
-# lazily.  They reach eigenvalue, fisher_numeric, ... as module globals at
-# call time, so anything that rebinds those names here sees every call.
+# Each compute maps (spec, params, cell) to its value columns over the
+# cell: one sequence of values per point, or one value every point shares;
+# a cell is either a whole first axis or one value of it.  The values reach
+# eigenvalue, fisher_numeric, ... as module globals at call time, so
+# anything that rebinds those names here sees every call.
 
 def _spectrum(spec, params, levels):
     energies = _energies(params, levels)
     lam = energies / (np.asarray(levels) + 0.5)
-    limit = saturation_limit(params) if params.gamma < 0 else None
-    return zip(energies, lam, repeat(limit))
+    return [energies, lam,
+            saturation_limit(params) if params.gamma < 0 else None]
 
 
 def _thermo(spec, params, betas):
     curve = specific_heat_curve(params, betas, eps_sat=spec.eps_sat)
-    return [(pt.Z, pt.U, pt.Cv, pt.N_used) for pt in curve]
+    # one saturation index (or None at gamma = 0) for the whole curve
+    return [*zip(*[(pt.Z, pt.U, pt.Cv) for pt in curve]), curve[0].N_used]
 
 
 def _fisher(spec, params, n):
@@ -199,26 +230,26 @@ def _fisher(spec, params, n):
     except DomainError:
         closed = math.nan
     numeric = fisher_numeric(level, params)
-    return [(closed, numeric, numeric)]
+    return [closed, numeric, numeric]
 
 
 def _cramer_rao(spec, params, n):
     level = eigenvalue(params, n)
     fisher, variance = fisher_numeric(level, params), moments(level, params)
-    return [(fisher, variance, fisher * variance)]
+    return [fisher, variance, fisher * variance]
 
 
 def _shannon(spec, params, n):
-    return [(shannon_entropy(eigenvalue(params, n), params),)]
+    return [shannon_entropy(eigenvalue(params, n), params)]
 
 
 def _density(spec, params, n):
-    rho = density(eigenvalue(params, n), params, np.asarray(_AXES["x"](spec)))
-    return zip(rho)
+    return [density(eigenvalue(params, n), params,
+                    np.asarray(_AXES["x"](spec)))]
 
 
 def _perey(spec, params, xs):
-    return zip(perey_factor(params, np.asarray(xs)))
+    return [perey_factor(params, np.asarray(xs))]
 
 
 # output -> (key columns, value columns, compute, whether the compute takes
@@ -238,32 +269,35 @@ _OUTPUTS = {
 
 
 def _rows(spec: SweepSpec, name: str):
-    """CSV rows of one output, yielded as they are made.  The cells of a
-    coupling are its whole first axis, or each value of that axis; a
-    point's keys are its first-axis value, crossed with the later axes for
-    a per-value cell.  A cell that raises gives one error row per point,
-    with its keys and blank values; a whole-axis cell is first retried one
-    point at a time, so only the points that fail become error rows."""
+    """The cells of one output for ``_write_csv``, yielded as they are
+    made.  The cells of a coupling are its whole first axis, or each value
+    of that axis, whose text joins nu and gamma as a key all rows of the
+    cell share; a later axis (density's x, formatted once per sweep) is
+    then a column.  A cell that raises gives one error row per point, with
+    its keys and blank values; a whole-axis cell is first retried one point
+    at a time, so only the points that fail become error rows."""
     keys, columns, compute, whole = _OUTPUTS[name]
     first, *rest = (_AXES[key](spec) for key in keys)
-    nu, blank = spec.nu, (None,) * len(columns)
+    rest = [[*map(_FMT, axis)] for axis in rest]
 
-    def cell_rows(gamma, cell):
+    def cells(gamma, lead, cell):
         try:
             values, error = compute(spec, spec.params(gamma), cell), ""
         except Exception as exc:
-            values, error = repeat(blank), f"{type(exc).__name__}: {exc}"
+            values = [None] * len(columns)
+            error = f"{type(exc).__name__}: {exc}"
         if error and whole and len(cell) > 1:
             for i in range(len(cell)):
-                yield from cell_rows(gamma, cell[i:i + 1])
-            return
-        points = zip(cell) if whole else product([cell], *rest)
-        for key, vals in zip(points, values):
-            yield (nu, gamma, *key, *vals, error)
+                yield from cells(gamma, lead, cell[i:i + 1])
+        elif whole:
+            yield lead, [cell, *values], error
+        else:
+            yield (*lead, _FMT(cell)), rest + values, error
 
     for gamma in spec.gamma_list:
+        lead = (_FMT(spec.nu), _FMT(gamma))
         for cell in [first] if whole else first:
-            yield from cell_rows(gamma, cell)
+            yield from cells(gamma, lead, cell)
 
 
 def run_sweep(spec: SweepSpec) -> dict[str, Path]:

@@ -27,6 +27,7 @@ _PSI_MAX_N = 680
 # core) one call took 128 ms, against 151-154 ms at 2**13-2**14, 141-220 ms
 # at 2**16-2**17, 304 ms unblocked and 581 ms one new array per operation
 _BLOCK = 2 ** 15
+_FLOAT_MAX = np.finfo(float).max
 
 
 def _recurrence(n: int, y: np.ndarray, bufs: np.ndarray):
@@ -84,18 +85,27 @@ def weight(params: ModelParams, x, level: EnergyLevel | None = None):
     """Density weight f(x) = 1 - g*x**2 (>= 1 everywhere for gamma <= 0)."""
     g = weight_coefficient(params, level)
     x = np.asarray(x, dtype=float)
-    return 1.0 - g * x * x
+    # past |x| ~ sqrt(DBL_MAX / |g|), g x**2 overflows and f is +-inf
+    with np.errstate(over="ignore"):
+        return 1.0 - g * x * x
 
 
 def perey_factor(params: ModelParams, x):
     """sqrt(f(x)) with g = gamma/2: the local-to-non-local wavefunction ratio.
 
-    >= 1 for gamma <= 0, with equality only at x = 0 (or gamma = 0).
+    >= 1 for gamma <= 0, with equality only at x = 0 (or gamma = 0).  Where
+    f overflows (g < 0) it is hypot(1, sqrt(|g|) x), finite while
+    sqrt(|g|) |x| is, and inf past that.
     """
     f = weight(params, x)
     if np.any(f < 0):
         raise DomainError("weight went negative (gamma > 0 regime)")
-    return np.sqrt(f)
+    if not np.isinf(f).any():
+        return np.sqrt(f)
+    root_g = math.sqrt(abs(weight_coefficient(params)))
+    with np.errstate(over="ignore"):
+        far = np.hypot(1.0, root_g * np.asarray(x))
+    return np.where(np.isinf(f), far, np.sqrt(f))[()]
 
 
 def _brace(level: EnergyLevel, params: ModelParams) -> float:
@@ -116,21 +126,29 @@ def _check_order(n: int) -> None:
                           "whose wavefunction stays accurate")
 
 
-def psi(level: EnergyLevel, params: ModelParams, x):
-    """Normalized eigenfunction value(s) at x; DomainError past _PSI_MAX_N."""
+def _scaled(level: EnergyLevel, params: ModelParams, x):
+    """(normalization, sqrt(lam), y = sqrt(lam) x) of psi and psi_prime.
+
+    Past |y| = 38.6 the start exp(-y**2/2) of hermite_fn_pair underflows
+    to 0, and with it h_n of every order; y is clipped at 1e150, which
+    changes no value and keeps y**2 and the recurrence's steps finite.
+    """
     _check_order(level.n)
     a = math.sqrt(level.lam)
     scale = math.sqrt(a / _brace(level, params))
-    hn, _ = hermite_fn_pair(level.n, a * np.asarray(x, dtype=float))
-    return scale * hn
+    y = np.asarray(a * np.asarray(x, dtype=float))  # a new array, even 0-d
+    return scale, a, np.clip(y, -1e150, 1e150, out=y)
+
+
+def psi(level: EnergyLevel, params: ModelParams, x):
+    """Normalized eigenfunction value(s) at x; DomainError past _PSI_MAX_N."""
+    scale, _, y = _scaled(level, params, x)
+    return scale * hermite_fn_pair(level.n, y)[0]
 
 
 def psi_prime(level: EnergyLevel, params: ModelParams, x):
     """Analytic derivative of ``psi`` with respect to x."""
-    _check_order(level.n)
-    a = math.sqrt(level.lam)
-    scale = math.sqrt(a / _brace(level, params))
-    y = a * np.asarray(x, dtype=float)
+    scale, a, y = _scaled(level, params, x)
     hn, hn1 = hermite_fn_pair(level.n, y)
     return scale * a * (math.sqrt(2.0 * level.n) * hn1 - y * hn)
 
@@ -139,9 +157,12 @@ def density(level: EnergyLevel, params: ModelParams, x):
     """Modified probability density rho_n(x) = psi**2 * f(x).
 
     Non-negative for gamma <= 0 and underflows cleanly to zero far out.
+    Where f overflows psi is 0, and f is capped at the largest float, so
+    rho is 0 there rather than nan.
     """
     p = psi(level, params, x)
-    return p * p * weight(params, x, level)
+    f = np.asarray(weight(params, x, level))
+    return p * p * np.clip(f, -_FLOAT_MAX, _FLOAT_MAX, out=f)
 
 
 def density_gradient_sq_terms(level: EnergyLevel, params: ModelParams, x):

@@ -3,22 +3,29 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import edho.cli
-from edho.cli import (SweepSpec, _fmt, _write_csv, main, run_sweep,
+from edho.cli import (SweepSpec, _write_csv, main, run_sweep,
                       run_validation)
 from edho.errors import DomainError, NonConvergence
 from edho.information import cramer_rao, moments
 from edho.spectrum import _energies, eigenvalue, residual
 from edho.thermo import specific_heat_curve
-from edho.wavefunction import psi, weight_coefficient
+from edho.wavefunction import density, psi, weight_coefficient
 
 
 FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def _fmt(value):
+    # the reference rendering of a value for csv.writer, which prints None
+    # as an empty field and the rest through str()
+    return format(value, ".17g") if isinstance(value, float) else value
 
 
 def read_rows(path):
@@ -133,8 +140,8 @@ class TestRunSweep:
             assert float(r["Cv"]) == pytest.approx(ref, abs=1e-2)
 
     def test_template_rows_match_csv_writer(self, tmp_path):
-        # rows without an error or a blank value take the one-template path;
-        # the rest keep csv.writer, which quotes a comma or a quote
+        # rows without an error are formatted by the cell writer; error rows
+        # keep csv.writer, which quotes a comma or a quote
         rows = [
             (1, -0.5, 3, 0.1, np.float64(2.0) / 3, ""),
             (2, np.int64(7), 10**15, math.nan, math.inf, ""),
@@ -145,7 +152,9 @@ class TestRunSweep:
             (2, 0.25, np.int64(8), 5e-324, -1.7976931348623157e308, ""),
         ]
         header = ["nu", "gamma", "n", "a", "b", "error"]
-        counts = _write_csv(tmp_path / "out.csv", header, iter(rows))
+        # each row as a cell of one row: no key text, its values, its error
+        counts = _write_csv(tmp_path / "out.csv", header,
+                            (((), row[:-1], row[-1]) for row in rows))
         assert counts == {"rows": 7, "error_rows": 2}
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
@@ -234,6 +243,23 @@ class TestRunSweep:
         np.testing.assert_allclose(rho, rho[::-1], rtol=1e-12)
         perey = [float(r["perey"]) for r in read_rows(written["perey"])]
         assert all(v >= 1.0 for v in perey)
+
+
+def test_density_and_perey_where_g_x2_overflows(tmp_path, capsys):
+    # at |x| = 1e160, g x**2 overflows: rho is 0 (psi underflows there)
+    # and the Perey factor hypot(1, x / 2) = 5e159, not nan and inf, and
+    # nothing reaches stderr
+    for command in ("density", "perey"):
+        assert main([command, "--gamma=-0.5", "--x-grid=-1e160:1e160:3",
+                     "--n-max", "0", "--out", str(tmp_path)]) == 0
+    rho = read_rows(tmp_path / "density.csv")
+    perey = read_rows(tmp_path / "perey.csv")
+    params = SweepSpec().params(-0.5)
+    assert [float(r["rho"]) for r in rho] == [
+        0.0, density(eigenvalue(params, 0), params, 0.0), 0.0]
+    assert [float(r["perey"]) for r in perey] == [5e159, 1.0, 5e159]
+    assert not any(r["error"] for r in rho + perey)
+    assert capsys.readouterr().err == ""
 
 
 # (argv, output, key columns after nu and gamma, number of error rows,
@@ -819,3 +845,82 @@ class TestMainEntry:
         assert out.splitlines()[-1] == (
             "REPORT orthogonality(modified product): SKIPPED "
             "(no pair compared)")
+
+
+# output -> sweeps whose cells the writer must print exactly as csv.writer
+# prints their rows (SweepSpec fields besides outputs and out_dir)
+CELL_SWEEPS = {
+    # blank saturation_limit at gamma = 0; 4,101 levels fill 16 chunks of
+    # rows and part of a 17th
+    "spectrum": dict(gamma_list=(0.0, -0.5), n_max=4100),
+    # nu = 2, gamma = 0.1 fails from n = 3 on: the whole-axis cell is
+    # retried per level, which mixes good rows and error rows
+    "spectrum-retry": dict(nu=2, gamma_list=(0.1, -0.5), permissive=True,
+                           n_max=4),
+    # blank N_used at gamma = 0
+    "thermo": dict(gamma_list=(0.0, -0.5), beta_grid=(0.5, 2.0, 5.0)),
+    "thermo-error": dict(gamma_list=(-1e-14, -0.5), beta_grid=(0.5, 5.0)),
+    # nan fisher_closed at strong coupling, DomainError rows at gamma > 0
+    "fisher": dict(gamma_list=(-3.0, -0.5), n_max=3),
+    "fisher-error": dict(nu=2, gamma_list=(0.1,), permissive=True, n_max=4),
+    "cramer_rao": dict(nu=2, gamma_list=(-0.5, 0.1), permissive=True,
+                       n_max=3),
+    "shannon": dict(gamma_list=(-0.5,), n_max=2),
+    # the levels past n = 680 are error rows, one per x
+    "density": dict(gamma_list=(-0.5,), n_min=679, n_max=682,
+                    x_grid=(-2.0, -0.5, 0.0, 1.0, 2.0)),
+    # f < 0 at |x| = 3 only: the per-point retry mixes good and error rows
+    "perey": dict(gamma_list=(0.5, -0.5), permissive=True,
+                  x_grid=tuple(np.linspace(-3, 3, 7))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CELL_SWEEPS))
+def test_cell_writer_matches_csv_writer(case, tmp_path):
+    name = case.split("-")[0]
+    spec = SweepSpec(outputs=(name,), out_dir=str(tmp_path),
+                     **CELL_SWEEPS[case])
+    keys, columns, _, whole = edho.cli._OUTPUTS[name]
+    # a later axis reaches the writer as text; the reference takes its values
+    # from the spec
+    later = [] if whole else [edho.cli._AXES[k](spec) for k in keys[1:]]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["nu", "gamma", *keys, *columns, "error"])
+    for shared, cell_columns, error in edho.cli._rows(spec, name):
+        # the keys reach the writer as text: the reference takes the values
+        # they read as (17 digits read back exactly)
+        shared = [int(k) if k.lstrip("-").isdigit() else float(k)
+                  for k in shared]
+        # a column is one value per row, or one value all rows share
+        cell_columns = [c if isinstance(c, (list, tuple, range, np.ndarray))
+                        else [c] for c in [*later, *cell_columns[len(later):]]]
+        for i in range(max(map(len, cell_columns))):
+            row = [c[i % len(c)] for c in cell_columns]
+            writer.writerow([_fmt(v) for v in (*shared, *row, error)])
+    text = run_sweep(spec)[name].read_bytes()
+    assert text == expected.getvalue().encode()
+    if case in ("spectrum", "thermo"):
+        assert b",," in text  # a blank value column
+    if case == "fisher":
+        assert b",nan," in text
+    if case.endswith("retry") or case in ("perey", "density"):
+        rows = read_rows(tmp_path / f"{name}.csv")
+        assert {bool(r["error"]) for r in rows} == {False, True}
+
+
+def test_writer_memory_is_bounded(tmp_path):
+    # 2 couplings x 2e5 levels: the writer holds one chunk of rows and one
+    # cell at a time.  The tracemalloc peak was 11.3 MB with the earlier
+    # per-row writer and with this one (CPython 3.11, NumPy 2.4, 2-CPU
+    # x86-64 host); joining each cell's rows at once took 39.4 MB, and
+    # keeping a written cell while the next one is computed 14.5 MB
+    spec = SweepSpec(gamma_list=(-0.5, -1e-3), n_max=199_999,
+                     outputs=("spectrum",), out_dir=str(tmp_path))
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6

@@ -11,6 +11,8 @@ from edho import (DensityMode, DomainError, ModelParams, density,
                   weight)
 from edho.wavefunction import _BLOCK, hermite_fn_pair
 
+DBL_MAX = np.finfo(float).max
+
 
 def _norm(level, params):
     value, _ = integrate(lambda x: density(level, params, x),
@@ -209,6 +211,19 @@ class TestDensity:
             assert value == 0.0 or value < 1e-300
             assert not math.isnan(value)
 
+    def test_zero_where_the_weight_overflows(self):
+        # past |x| ~ sqrt(DBL_MAX / |g|), 2.7e154 at gamma = -0.5, g x**2
+        # overflows to inf while psi has long underflowed to 0: rho is 0
+        # there, not nan, and no warning is raised
+        x = np.array([-DBL_MAX, -1e160, -3e154, 0.0, 3e154, 1e160, DBL_MAX])
+        for gamma, nu in ((-0.5, 1), (-1e6, 2)):
+            params = ModelParams(gamma=gamma, nu=nu)
+            for n in (0, 1, 5, 680):
+                level = eigenvalue(params, n)
+                rho = density(level, params, x)
+                assert np.array_equal(rho[x != 0], np.zeros(6))
+                assert rho[3] == density(level, params, 0.0)
+
     def test_parity(self):
         params = ModelParams(gamma=-0.5, nu=1)
         x = np.linspace(0, 6, 61)
@@ -273,6 +288,18 @@ class TestPereyFactor:
             values = perey_factor(ModelParams(gamma=gamma), x)
             assert np.all(values >= 1.0)
             assert perey_factor(ModelParams(gamma=gamma), 0.0) == 1.0
+
+    def test_finite_where_the_weight_overflows(self):
+        # sqrt(1 + |g| x**2) is hypot(1, sqrt(|g|) x) where g x**2
+        # overflows (|g| = 1/4 here, so 0.5 |x|), and inf only where
+        # sqrt(|g|) |x| does too
+        x = np.array([-1e160, -3e154, 1e154, 1e160, 1e300, DBL_MAX])
+        values = perey_factor(ModelParams(gamma=-0.5), x)
+        np.testing.assert_allclose(values, 0.5 * abs(x), rtol=1e-15)
+        assert np.all(np.isfinite(values))
+        assert perey_factor(ModelParams(gamma=-1e6), DBL_MAX) == math.inf
+        assert perey_factor(ModelParams(gamma=-1e6), 1e300) == \
+            pytest.approx(math.sqrt(5e5) * 1e300, rel=1e-15)
 
     def test_negative_weight_rejected(self):
         params = ModelParams(gamma=0.5, permissive=True)
