@@ -147,11 +147,10 @@ def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
     A cell is (keys, columns, error): the text of the keys all its rows
     share, then each further column as a sequence of one value per row
     (strings are written as they are) or as one value all rows share (None
-    is a blank); a cell without a sequence is one row.  Each value is
-    formatted once, by ``%.17g``, which prints a number exactly as
-    ``csv.writer`` prints its ``format(value, ".17g")`` (integers stay
-    below 2**52, see SweepSpec).  The rows of an error cell go through
-    ``csv.writer``, whose quoting an error text may need."""
+    is a blank).  Each value is formatted once, by ``%.17g``, which prints
+    a number exactly as ``csv.writer`` prints its ``format(value, ".17g")``
+    (integers stay below 2**52, see SweepSpec).  The rows of an error cell
+    go through ``csv.writer``, whose quoting an error text may need."""
     counts = {"rows": 0, "error_rows": 0}
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -168,11 +167,7 @@ def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
                 else:
                     fields.append("" if c is None else _FMT(c))
             fields.append(error)
-            if not (size or error):  # one row, all of it shared
-                counts["rows"] += 1
-                fh.write(",".join(fields) + "\r\n")
-                return
-            size = max(size, 1)
+            size = max(size, 1)  # a cell without a sequence is one row
             counts["rows"] += size
             rows = zip(*[repeat(f, size) if isinstance(f, str) else f
                          for f in fields])

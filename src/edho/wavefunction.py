@@ -100,12 +100,10 @@ def perey_factor(params: ModelParams, x):
     f = weight(params, x)
     if np.any(f < 0):
         raise DomainError("weight went negative (gamma > 0 regime)")
-    if not np.isinf(f).any():
-        return np.sqrt(f)
     root_g = math.sqrt(abs(weight_coefficient(params)))
     with np.errstate(over="ignore"):
         far = np.hypot(1.0, root_g * np.asarray(x))
-    return np.where(np.isinf(f), far, np.sqrt(f))[()]
+        return np.where(np.isinf(f), far, np.sqrt(f))[()]
 
 
 def _brace(level: EnergyLevel, params: ModelParams) -> float:
