@@ -106,6 +106,7 @@ def fisher_numeric(level: EnergyLevel, params: ModelParams) -> float:
         raise DomainError(f"weight vanishes at |x| = {1.0 / math.sqrt(g):g}, "
                           "where the Fisher integrand diverges")
     c = -g / level.lam
+    _brace(level, params)  # DomainError where c or b overflows, before _i_n
     # c = 0 at gamma = 0, or where -g/lam underflows: f = 1 and I_n = 1
     return _fisher(level, params, _i_n(level.n, c) if c else 1.0)
 
@@ -113,13 +114,14 @@ def fisher_numeric(level: EnergyLevel, params: ModelParams) -> float:
 def moments(level: EnergyLevel, params: ModelParams) -> float:
     """<x**2> under the modified density, which is also the variance: the
     mean vanishes by parity.  It is the exact Gaussian-moment closed form
-    (no truncation), matching quadrature to rounding.
+    (no truncation), matching quadrature to rounding:
+    [(n+1/2) + 3/4 c (2n**2+2n+1)] / (lam b) with c = -g/lam, divided
+    through by b, so that no term overflows where b is finite.
     """
     n, lam = level.n, level.lam
-    g = weight_coefficient(params, level)
-    b = _brace(level, params)
-    return ((n + 0.5) / lam
-            - 0.75 * g * (2.0 * n * n + 2.0 * n + 1.0) / (lam * lam)) / b
+    c, b = -weight_coefficient(params, level) / lam, _brace(level, params)
+    return ((n + 0.5) / b
+            + 0.75 * (2.0 * n * n + 2.0 * n + 1.0) * (c / b)) / lam
 
 
 def cramer_rao(level: EnergyLevel, params: ModelParams) -> float:

@@ -27,7 +27,7 @@ _PSI_MAX_N = 680
 # core) one call took 128 ms, against 151-154 ms at 2**13-2**14, 141-220 ms
 # at 2**16-2**17, 304 ms unblocked and 581 ms one new array per operation
 _BLOCK = 2 ** 15
-_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX, _FLOAT_TINY = np.finfo(float).max, np.finfo(float).tiny
 
 
 def _recurrence(n: int, y: np.ndarray, bufs: np.ndarray):
@@ -56,10 +56,13 @@ def hermite_fn_pair(n: int, y):
 
     h_{k+1} = y sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}; h_{-1} = 0.
     Runs in place, with three rotating buffers, on blocks of _BLOCK points,
-    so no step allocates and a block stays in cache; y is never written.
-    Returns two new C-ordered arrays of y's shape (NumPy scalars for a
-    scalar y), bit for bit those of the formula evaluated one new array
-    per operation.
+    so no step allocates and a block stays in cache.  Each block of y is
+    clipped at +-1e150 into the block's slot of the output h, which its
+    result overwrites only after the last step: that changes no value (h_n
+    underflows to 0 past |y| = 38.6) and keeps y**2 and every step finite,
+    and y is never written.  Returns two new C-ordered arrays of y's shape
+    (NumPy scalars for a scalar y), bit for bit those of the formula
+    evaluated one new array per operation.
     """
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
@@ -69,7 +72,7 @@ def hermite_fn_pair(n: int, y):
     bufs = np.empty((3, min(flat.size, _BLOCK)))
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        part = flat[block]
+        part = np.clip(flat[block], -1e150, 1e150, out=h[block])
         h[block], h_prev[block] = _recurrence(n, part, bufs[:, :part.size])
     return h.reshape(y.shape)[()], h_prev.reshape(y.shape)[()]
 
@@ -107,6 +110,9 @@ def perey_factor(params: ModelParams, x):
 
 
 def _brace(level: EnergyLevel, params: ModelParams) -> float:
+    """b = 1 + c (n + 1/2) with c = -g/lam; DomainError unless b > 0 and b
+    and c are finite (at nu = 2 in the paper density mode, one of them
+    overflows from |gamma| of about 8e205 at n = 0, 1e199 at n = 1e5)."""
     g = weight_coefficient(params, level)
     b = 1.0 - g * (2 * level.n + 1) / (2.0 * level.lam)
     if b <= 0:
@@ -114,6 +120,9 @@ def _brace(level: EnergyLevel, params: ModelParams) -> float:
             f"normalization brace factor non-positive at n={level.n}, "
             f"gamma={params.gamma}"
         )
+    if not max(b, abs(g) / level.lam) < math.inf:
+        raise DomainError(f"c = -g/lam or the normalization brace factor "
+                          f"overflows at n={level.n}, gamma={params.gamma}")
     return b
 
 
@@ -129,13 +138,19 @@ def _scaled(level: EnergyLevel, params: ModelParams, x):
 
     Past |y| = 38.6 the start exp(-y**2/2) of hermite_fn_pair underflows
     to 0, and with it h_n of every order; y is clipped at 1e150, which
-    changes no value and keeps y**2 and the recurrence's steps finite.
+    changes no value and keeps psi_prime's y h_n finite.  Where
+    sqrt(lam)/b is subnormal the normalization has lost its precision: a
+    DomainError (|gamma| from about 3e123 at n = 0 and 2e120 at n = 680 for
+    nu = 1, 2.5e176 and 8e171 for nu = 2 in the paper density mode).
     """
     _check_order(level.n)
     a = math.sqrt(level.lam)
-    scale = math.sqrt(a / _brace(level, params))
+    ratio = a / _brace(level, params)
+    if ratio < _FLOAT_TINY:
+        raise DomainError(f"sqrt(lam)/b = {ratio:.3g} is below the normal "
+                          f"float range at n={level.n}, gamma={params.gamma}")
     y = np.asarray(a * np.asarray(x, dtype=float))  # a new array, even 0-d
-    return scale, a, np.clip(y, -1e150, 1e150, out=y)
+    return math.sqrt(ratio), a, np.clip(y, -1e150, 1e150, out=y)
 
 
 def psi(level: EnergyLevel, params: ModelParams, x):

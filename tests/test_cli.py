@@ -50,8 +50,8 @@ class TestRunSweep:
         assert manifest["spec"]["gamma_list"] == [-1e-5, -0.5, -2.0]
         # eps_sat plus each validate gate, under its CHECK name
         assert manifest["tolerances"] == {
-            "eps_sat": 1e-6, "residual": 1e-10, "normalization": 1e-8,
-            "moment_closed_form": 1e-8, "cramer_rao_bound": 1e-10}
+            "eps_sat": 1e-6, "residual": 1e-10, "normalization": 1e-12,
+            "moment_closed_form": 1e-12, "cramer_rao_bound": 1e-10}
         assert manifest["limits"] == {
             "psi_max_n": 680, "i_n_max_n": 10**5, "n_sat_limit": 2**52,
             "thermo_head": 2000}
@@ -772,6 +772,40 @@ class TestMainEntry:
         gate = next(line for line in lines
                     if line.startswith("CHECK moment_closed_form"))
         assert gate.endswith("FAILED")
+
+    @pytest.mark.parametrize("name, value, gate", [
+        ("moments", math.inf, "moment_closed_form"),
+        ("cramer_rao", math.nan, "cramer_rao_bound"),
+    ])
+    def test_validate_nan_or_inf_error_fails_its_gate(self, name, value, gate,
+                                                      monkeypatch):
+        # a nan error at level 1 of 0..2 stays the gate's maximum after the
+        # finite errors of level 2 (Python's max(0.0, nan) is 0.0)
+        real = getattr(edho.cli, name)
+        monkeypatch.setattr(edho.cli, name, lambda level, params: (
+            value if level.n == 1 else real(level, params)))
+        lines, ok = run_validation(SweepSpec(gamma_list=(-0.5,), n_max=2))
+        assert not ok
+        tol = edho.cli._GATES[gate]
+        assert f"CHECK {gate}: max_err=nan tol={tol:.0e} FAILED" in lines
+
+    @pytest.mark.parametrize("argv, code", [
+        # g/lam**2 overflows here, but no error is nan
+        (["--gamma=-1e110"], 0),
+        (["--nu", "2", "--gamma=-1e160"], 0),
+        # sqrt(lam)/b is 0: every density is refused
+        (["--gamma=-1e130"], 1),
+        (["--nu", "2", "--gamma=-1e190"], 1),
+    ])
+    def test_validate_at_huge_coupling(self, argv, code, capsys):
+        assert main(["validate", *argv, "--n-max", "2"]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        if code:
+            assert out.startswith("CHECK domain: FAILED gamma=-1e+1")
+            assert "below the normal float range at n=0" in out
+        else:
+            assert "FAILED" not in out and "nan" not in out
 
     def test_validate_gates_range_start_and_top(self, monkeypatch):
         gated = []

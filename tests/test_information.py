@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from edho import (DensityMode, DomainError, ModelParams, cramer_rao, density,
                   eigenvalue, entropy_density, fisher_closed, fisher_numeric,
                   gaussian_window, integrate, moments, shannon_entropy)
 from edho.information import _hermite_zeros, _i_n
+from edho.wavefunction import weight_coefficient
 from fisher_oracle import fisher_by_quad, i_n_by_quad
 from shannon_oracle import shannon_by_quad
 
@@ -167,6 +169,21 @@ class TestFisherIntegral:
             with pytest.raises(DomainError, match="past n=100000"):
                 _i_n(10**5 + 1, c)
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_overflowing_coupling_is_domain_error(self, n, monkeypatch):
+        # nu = 2, gamma = -1e250: c = -g/lam and b overflow, where _i_n
+        # would divide by kappa = 0; refused before _i_n runs, and <x^2>
+        # with it
+        def no_i_n(n, c):
+            raise AssertionError("_i_n ran")
+
+        monkeypatch.setattr(edho.information, "_i_n", no_i_n)
+        params = ModelParams(gamma=-1e250, nu=2)
+        level = eigenvalue(params, n)
+        for kernel in (fisher_numeric, moments, cramer_rao):
+            with pytest.raises(DomainError, match="overflows"):
+                kernel(level, params)
+
     def test_weight_free_needs_no_order_limit(self):
         # at gamma = 0, c = 0 and I_n = 1 without _i_n, at any n
         params = ModelParams(gamma=0.0)
@@ -188,6 +205,23 @@ class TestMoments:
             lambda x: np.asarray(x) ** 2 * density(level, params, x),
             gaussian_window(level.lam, n), 1e-12)
         assert moments(level, params) == pytest.approx(quad, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma, nu, n", [
+        (-1e103, 1, 1), (-1e110, 1, 2), (-1e150, 1, 1000), (-1e155, 2, 0),
+        (-1e160, 2, 2), (-1e204, 2, 1)])
+    def test_finite_where_g_over_lam_squared_overflows(self, gamma, nu, n):
+        # g/lam**2 overflows here, and c (2n**2+2n+1) at gamma = -1e150,
+        # n = 1000, where b is still finite; the oracle is the textbook
+        # form in exact rational arithmetic
+        params = ModelParams(gamma=gamma, nu=nu)
+        level = eigenvalue(params, n)
+        lam = Fraction(level.lam)
+        g = Fraction(weight_coefficient(params, level))
+        exact = ((n + Fraction(1, 2)) / lam
+                 - Fraction(3, 4) * g * (2 * n * n + 2 * n + 1) / lam**2) / (
+                     1 - g * (2 * n + 1) / (2 * lam))
+        assert moments(level, params) == pytest.approx(float(exact),
+                                                       rel=1e-15)
 
     def test_mean_vanishes_by_quadrature(self):
         params = ModelParams(gamma=-0.5, nu=1)
@@ -219,6 +253,18 @@ class TestCramerRao:
         values = [cramer_rao(eigenvalue(params, n), params) for n in range(11)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v >= 1.0 - 1e-10 for v in values)
+
+    @pytest.mark.parametrize("nu, gamma", [(1, -1e110), (2, -1e160)])
+    def test_strong_coupling_limit(self, nu, gamma):
+        # as c -> inf, I_n -> 0 and F V -> 3/4 (2n**2+2n+3)(2n**2+2n+1) /
+        # (n+1/2)**2: 9, 35/3 and 117/5 at n = 0, 1, 2; c is about 1e219
+        # (nu = 1) and 1e239 (nu = 2) here
+        params = ModelParams(gamma=gamma, nu=nu)
+        for n in range(3):
+            limit = (0.75 * (2 * n * n + 2 * n + 3) * (2 * n * n + 2 * n + 1)
+                     / (n + 0.5) ** 2)
+            assert cramer_rao(eigenvalue(params, n), params) == pytest.approx(
+                limit, rel=1e-14)
 
     def test_closed_source_switch(self):
         params = ModelParams(gamma=-0.1, nu=1)

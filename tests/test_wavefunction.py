@@ -95,6 +95,18 @@ class TestHermite:
         assert not np.shares_memory(h, y)
         assert not np.shares_memory(h_prev, y)
 
+    def test_huge_arguments_give_zeros_without_warning(self):
+        # unclipped, y**2 overflows past |y| ~ 1.9e154 and the k = 0 step's
+        # sqrt(2) y past 1.27e308; the kernel clips each block of y at
+        # +-1e150, and the caller's y is not written
+        y = np.array([1e200, 1.7e308, -DBL_MAX, np.inf, -np.inf, 40.0])
+        before = y.copy()
+        for n in (0, 1, 3, 60):
+            h, h_prev = hermite_fn_pair(n, y)
+            assert np.array_equal(h, np.zeros(6))
+            assert np.array_equal(h_prev, np.zeros(6))
+        assert np.array_equal(y, before)
+
     def test_peak_memory_is_the_two_outputs(self):
         # the outputs and three block buffers; the step-by-step formula
         # held four arrays of y's size at once
@@ -146,6 +158,25 @@ class TestNormalization:
         params = ModelParams(gamma=-0.5, nu=1)
         with pytest.raises(DomainError, match="past n=680"):
             kernel(eigenvalue(params, 681), params, 0.0)
+
+    @pytest.mark.parametrize("gamma, nu", [(-1e110, 1), (-1e160, 2)])
+    def test_unit_norm_at_huge_coupling(self, gamma, nu):
+        # sqrt(lam)/b is about 1e-275 (nu = 1) and 1e-280 (nu = 2) here,
+        # still in the normal float range
+        params = ModelParams(gamma=gamma, nu=nu)
+        for n in (0, 1, 2):
+            assert _norm(eigenvalue(params, n), params) == pytest.approx(
+                1.0, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("kernel", [psi, psi_prime, density])
+    @pytest.mark.parametrize("gamma, nu, n", [(-1e123, 1, 2), (-1e130, 1, 0),
+                                              (-1e177, 2, 0), (-1e190, 2, 0)])
+    def test_subnormal_scale_is_domain_error(self, kernel, gamma, nu, n):
+        # sqrt(lam)/b is subnormal or 0 here, where psi and rho read 0 or
+        # lost their precision
+        params = ModelParams(gamma=gamma, nu=nu)
+        with pytest.raises(DomainError, match="below the normal float range"):
+            kernel(eigenvalue(params, n), params, 0.0)
 
     def test_unit_norm_nu_consistent_mode(self):
         params = ModelParams(gamma=-0.25, nu=2,
