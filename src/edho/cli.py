@@ -10,7 +10,6 @@ if any assertion-grade invariant fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import json
 import numbers
@@ -38,7 +37,7 @@ from .wavefunction import (_PSI_MAX_N, density, perey_factor, psi, weight,
 # the moment's to max(1, <x^2>), which grows like 1/lam at strong coupling).
 # Over gamma in {0, -1e-5, -0.05, -0.1, -0.5, -1, -2, -1e6}, nu in {1, 2},
 # both density modes and n = 0..680, the worst normalization error was
-# 3.3e-14 and the worst moment error 4.7e-14, both at nu = 2, n = 680
+# 3.2e-14 and the worst moment error 4.9e-14, both at nu = 2, n = 680
 _GATES = {"residual": 1e-10, "normalization": 1e-12,
           "moment_closed_form": 1e-12, "cramer_rao_bound": 1e-10}
 # the values SweepSpec and the command line accept for these fields
@@ -152,12 +151,11 @@ def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
     (strings are written as they are) or as one value all rows share (None
     is a blank).  Each value is formatted once, by ``%.17g``, which prints
     a number exactly as ``csv.writer`` prints its ``format(value, ".17g")``
-    (integers stay below 2**52, see SweepSpec).  The rows of an error cell
-    go through ``csv.writer``, whose quoting an error text may need."""
+    (integers stay below 2**52, see SweepSpec).  Only an error text may
+    need quoting; it is quoted once per cell, as csv.writer quotes."""
     counts = {"rows": 0, "error_rows": 0}
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
 
         def write(keys, columns, error):
             # each column's text: one string all rows share, or one per row
@@ -169,16 +167,15 @@ def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
                     size = len(c)
                 else:
                     fields.append("" if c is None else _FMT(c))
+            # csv.writer's minimal quoting: in quotes, each quote doubled
+            if any(ch in error for ch in ',"\r\n'):
+                error = '"' + error.replace('"', '""') + '"'
             fields.append(error)
             size = max(size, 1)  # a cell without a sequence is one row
             counts["rows"] += size
-            rows = zip(*[repeat(f, size) if isinstance(f, str) else f
-                         for f in fields])
-            if error:
-                counts["error_rows"] += size
-                writer.writerows(rows)
-                return
-            lines = map(",".join, rows)
+            counts["error_rows"] += size if error else 0
+            lines = map(",".join, zip(*[repeat(f, size) if isinstance(f, str)
+                                        else f for f in fields]))
             while chunk := list(islice(lines, _CHUNK)):
                 fh.write("\r\n".join(chunk) + "\r\n")
 
@@ -382,13 +379,12 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                         window, 1e-10)
                     found.append(("orthogonality", abs(val), 1))
             for level in levels:
-                window = gaussian_window(level.lam, level.n)
-                norm, _ = integrate(lambda x: density(level, params, x),
-                                    window, 1e-11)
+                # the norm and <x^2> as the two columns of one integral
+                (norm, x2_quad), _ = integrate(
+                    lambda x: density(level, params, x)[:, None]
+                    * np.stack([np.ones_like(x), x * x], axis=1),
+                    gaussian_window(level.lam, level.n), 1e-11)
                 found.append(("normalization", abs(norm - 1.0), 1))
-                x2_quad, _ = integrate(
-                    lambda x: np.asarray(x) ** 2 * density(level, params, x),
-                    window, 1e-11)
                 x2_closed = moments(level, params)
                 # in Python floats, where inf / inf is nan without a warning
                 err = abs(float(x2_quad) - x2_closed) / max(1.0, x2_closed)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import gaussian_window, integrate
+from .quadrature import gaussian_window, integrate, tanh_sinh
 from .spectrum import EnergyLevel, ModelParams
 # unused here: bench/tracing.py wraps density_gradient_sq_terms at this site
 from .wavefunction import (density, density_gradient_sq_terms,
@@ -154,10 +154,10 @@ def shannon_entropy(level: EnergyLevel, params: ModelParams) -> float:
     rho ln rho has x**2 ln x**2 kinks at the zeros of H_n, which slow the
     trapezoid rule to about h**3.  rho is even, so [0, L] is cut at the
     positive zeros and each of the K pieces is mapped from tau in [-T, T]
-    by the tanh-sinh substitution x = lo + w (1 + tanh(pi/2 sinh tau)) / 2.
-    All pieces share one tau grid: the integrand sums the K mapped pieces
-    at each node.  Each mapped piece is smooth in tau and vanishes doubly
-    exponentially at +-T, so ``integrate`` converges exponentially.
+    by ``tanh_sinh``.  All pieces share one tau grid: the integrand sums
+    the K mapped pieces at each node.  Each mapped piece is smooth in tau
+    and vanishes doubly exponentially at +-T, so ``integrate`` converges
+    exponentially.
     An order past the wavefunction's limit is a DomainError.
     """
     n, a = level.n, math.sqrt(level.lam)
@@ -169,11 +169,8 @@ def shannon_entropy(level: EnergyLevel, params: ModelParams) -> float:
     lo, width = cuts[:-1], np.diff(cuts)
 
     def integrand(tau):
-        tau = tau[:, None]
-        u = 0.5 * math.pi * np.sinh(tau)
-        x = lo + 0.5 * width * (1.0 + np.tanh(u))
-        jac = 0.25 * math.pi * width * np.cosh(tau) / np.cosh(u) ** 2
-        return -(entropy_density(level, params, x) * jac).sum(axis=1)
+        x, weights = tanh_sinh(tau[:, None], lo, width)
+        return -(entropy_density(level, params, x) * weights).sum(axis=1)
 
     value, _ = integrate(integrand, _TANH_SINH_T, _ENTROPY_REL_TOL)
     return 2.0 * value

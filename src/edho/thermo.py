@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate
+from .quadrature import integrate, tanh_sinh
 from .spectrum import ModelParams, _energies, saturation_index, saturation_limit
 
 # levels summed directly; a level set too short for the tail's Gregory
@@ -94,18 +94,15 @@ def _tail_sum(params: ModelParams, e0: float, n_sat: int, f) -> np.ndarray:
     [_HEAD, n_sat], plus half the end terms, plus _GREGORY times the 1st to
     6th forward differences at _HEAD and backward differences at n_sat;
     exact for polynomials of degree 7.  The integral is taken in tau by
-    tanh-sinh, n = _HEAD + w/(1 + exp(-2s)), s = pi/2 sinh(tau), which
-    keeps the offset of a node from _HEAD exact at any width w.
+    ``tanh_sinh``, which keeps the offset of a node from _HEAD exact at any
+    width n_sat - _HEAD.
     """
-    width = n_sat - _HEAD
-
     def terms(n):
         return f((_energies(params, n) - e0)[:, None])
 
     def integrand(tau):
-        s = 0.5 * math.pi * np.sinh(tau)
-        jac = 0.25 * math.pi * width * np.cosh(tau) / np.cosh(s) ** 2
-        return terms(_HEAD + width / (1.0 + np.exp(-2.0 * s))) * jac[:, None]
+        n, weights = tanh_sinh(tau, _HEAD, n_sat - _HEAD)
+        return terms(n) * weights[:, None]
 
     total, _ = integrate(integrand, _TAIL_T, _TAIL_REL_TOL)
     ends = len(_GREGORY) + 1  # the levels the differences take at each end

@@ -14,6 +14,7 @@ from edho.cli import (SweepSpec, _write_csv, main, run_sweep,
                       run_validation)
 from edho.errors import DomainError, NonConvergence
 from edho.information import cramer_rao, moments
+from edho.quadrature import integrate
 from edho.spectrum import _energies, eigenvalue, residual
 from edho.thermo import specific_heat_curve
 from edho.wavefunction import density, psi, weight_coefficient
@@ -140,8 +141,8 @@ class TestRunSweep:
             assert float(r["Cv"]) == pytest.approx(ref, abs=1e-2)
 
     def test_template_rows_match_csv_writer(self, tmp_path):
-        # rows without an error are formatted by the cell writer; error rows
-        # keep csv.writer, which quotes a comma or a quote
+        # every row goes through the cell writer, which quotes an error
+        # text holding a comma, a quote, a CR or an LF as csv.writer does
         rows = [
             (1, -0.5, 3, 0.1, np.float64(2.0) / 3, ""),
             (2, np.int64(7), 10**15, math.nan, math.inf, ""),
@@ -149,13 +150,16 @@ class TestRunSweep:
             (1, -0.5, 4, None, 2.5, ""),
             (1, -0.5, 5, None, None, "DomainError: a, b"),
             (1, -0.5, 6, None, None, 'ValueError: "quoted"'),
+            (1, -0.5, 7, None, None, "NonConvergence: one\ntwo"),
+            (1, -0.5, 8, None, None, "DomainError: one\r\ntwo"),
+            (1, -0.5, 9, None, None, 'ValueError: a,"b",c'),
             (2, 0.25, np.int64(8), 5e-324, -1.7976931348623157e308, ""),
         ]
         header = ["nu", "gamma", "n", "a", "b", "error"]
         # each row as a cell of one row: no key text, its values, its error
         counts = _write_csv(tmp_path / "out.csv", header,
                             (((), row[:-1], row[-1]) for row in rows))
-        assert counts == {"rows": 7, "error_rows": 2}
+        assert counts == {"rows": 10, "error_rows": 5}
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(header)
@@ -866,6 +870,22 @@ class TestMainEntry:
         assert reported == set(range(20, 27))
         assert lines[-1].startswith("REPORT orthogonality(modified product): "
                                     "max_overlap=")
+
+    def test_validate_takes_one_integral_per_level(self, monkeypatch):
+        # n_max = 12: the 9 overlaps among levels 0..6, then one integral
+        # for each of the 13 gated levels, whose columns are the norm and
+        # <x^2>
+        shapes = []
+
+        def counting(integrand, window, rel_tol):
+            value, err = integrate(integrand, window, rel_tol)
+            shapes.append(np.shape(value))
+            return value, err
+
+        monkeypatch.setattr(edho.cli, "integrate", counting)
+        lines, ok = run_validation(SweepSpec(gamma_list=(-0.5,), n_max=12))
+        assert ok
+        assert shapes == [()] * 9 + [(2,)] * 13
 
     @pytest.mark.parametrize("argv", [
         ["--gamma=0.01", "--permissive", "--n-max", "3"],  # gamma > 0

@@ -142,6 +142,21 @@ def test_every_column_must_converge():
     assert nodes["smooth"] < nodes["kinked"] == nodes["both"]
 
 
+def test_tanh_sinh_nodes_rise_inside_the_interval():
+    tau = np.linspace(-4.0, 4.0, 801)
+    for lo, width in [(0.0, 1.0), (-3.0, 0.5), (2000.0, 2.0**52)]:
+        x, w = quadrature.tanh_sinh(tau, lo, width)
+        assert np.all(np.diff(x) >= 0) and np.all(w > 0)
+        assert lo <= x[0] and x[-1] <= lo + width
+    # the offset from lo is positive at tau = -4, and under 1e-20 of a
+    # width of 2**52, far under one level of thermo's tail; added to
+    # lo = 2000, the node rounds to lo and never below it
+    offset, _ = quadrature.tanh_sinh(-4.0, 0.0, 2.0**52)
+    assert 0 < offset < 1e-20 * 2.0**52
+    x, _ = quadrature.tanh_sinh(-4.0, 2000.0, 2.0**52)
+    assert 0 <= x - 2000.0 < 1e-20 * 2.0**52
+
+
 def _integrate_by_grids(integrand, window, rel_tol):
     """``integrate`` with one integrand call per grid (65, 64, 128, 256, ...
     nodes): the reference whose results ``integrate`` must equal bit for
@@ -192,8 +207,9 @@ _BY_GRIDS_CASES = {
 @pytest.mark.parametrize("case", sorted(_BY_GRIDS_CASES))
 def test_first_513_nodes_in_one_call_change_nothing(case, monkeypatch):
     # the same value and estimate bit for bit, or the same NonConvergence,
-    # from the same nodes: the first call takes the first four grids of
-    # the grid-by-grid rule in their order, every later call one grid
+    # from the same nodes: the first call takes the nodes of the first four
+    # grids of the grid-by-grid rule as one ascending grid, every later
+    # call one grid
     f, window, rel_tol = _BY_GRIDS_CASES[case]
     if case == "step":
         # six halvings (4,097 nodes) reach NonConvergence as well as 18,
@@ -210,7 +226,7 @@ def test_first_513_nodes_in_one_call_change_nothing(case, monkeypatch):
         calls.append(nodes)
     batched, by_grids = calls
     assert [np.size(x) for x in by_grids[:4]] == [65, 64, 128, 256]
-    assert np.array_equal(batched[0], np.concatenate(by_grids[:4]))
+    assert np.array_equal(batched[0], np.sort(np.concatenate(by_grids[:4])))
     assert len(batched) == len(by_grids) - 3
     assert all(np.array_equal(x, y) for x, y in zip(batched[1:], by_grids[4:]))
     if case == "step":
