@@ -40,8 +40,8 @@ from .wavefunction import (_PSI_MAX_N, density, perey_factor, psi, weight,
 # 3.2e-14 and the worst moment error 4.9e-14, both at nu = 2, n = 680
 _GATES = {"residual": 1e-10, "normalization": 1e-12,
           "moment_closed_form": 1e-12, "cramer_rao_bound": 1e-10}
-# the values SweepSpec and the command line accept for these fields
-_CHOICES = {"density_mode": tuple(mode.value for mode in DensityMode)}
+# the values SweepSpec and the command line accept for density_mode
+_DENSITY_MODES = tuple(mode.value for mode in DensityMode)
 _MAX_GRID_COUNT = 10**6
 # SweepSpec's fields -> (accepted type, stored type, what a value must be);
 # a tuple field holds one or more items of that type; a bool is no number
@@ -111,10 +111,9 @@ class SweepSpec:
         unknown = [name for name in self.outputs if name not in _OUTPUTS]
         if unknown:
             raise DomainError(f"unknown outputs {unknown}")
-        for name, allowed in _CHOICES.items():
-            if getattr(self, name) not in allowed:
-                raise DomainError(f"{name} must be one of {allowed}, "
-                                  f"got {shown(getattr(self, name))}")
+        if self.density_mode not in _DENSITY_MODES:
+            raise DomainError(f"density_mode must be one of {_DENSITY_MODES}, "
+                              f"got {shown(self.density_mode)}")
         if not 0.0 < self.eps_sat < 1.0:
             raise DomainError(f"eps_sat must lie in (0, 1), "
                               f"got {self.eps_sat}")
@@ -480,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--x-grid", type=_parse_grid,
                         metavar="START:STOP:COUNT")
     parser.add_argument("--eps-sat", type=float)
-    parser.add_argument("--density-mode", choices=_CHOICES["density_mode"])
+    parser.add_argument("--density-mode", choices=_DENSITY_MODES)
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--config",
                         help="key = value config file; flags win on conflict")

@@ -97,9 +97,9 @@ def _energies(params: ModelParams, ns) -> np.ndarray:
     """Vectorized positive-branch eigenvalues for an array of quantum numbers.
 
     NonPositiveEnergy names the first level whose energy is not positive
-    and finite: at nu = 1 gamma**2 overflows past |gamma| ~ 1.3e154 and the
-    root reads 0; at nu = 2, gamma > 0 a level with no real root reads nan.
-    Neither is also warned by numpy.
+    and finite: at nu = 1 gamma**2 (n + 1/2)**2 overflows past |gamma|
+    (n + 1/2) ~ 1.34e154 and the root reads 0; at nu = 2, gamma > 0 a
+    level with no real root reads nan.  Neither is also warned by numpy.
     """
     ns = np.asarray(ns, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

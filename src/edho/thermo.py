@@ -3,11 +3,12 @@
 For gamma < 0 the spectrum accumulates at a finite limit, so the partition
 function is a finite sum over the pre-saturation levels 0..n_sat plus one
 term for the accumulation point.  Internal energy and specific heat come
-from exact Boltzmann-weighted moments of that level set, never from numeric
-differentiation.  No array of all n_sat + 1 levels is built: the first
-_HEAD levels are summed directly, and only where the Boltzmann factor
-reaches past them are the levels _HEAD..n_sat summed by Gregory's form of
-Euler-Maclaurin (``_tail_sum``), so a curve costs the same at any n_sat.
+from exact Boltzmann-weighted moments of that level set (``_points``),
+never from numeric differentiation.  No array of all n_sat + 1 levels is
+built: past a short set summed whole, the first _HEAD levels are summed
+directly, and only where the Boltzmann factor reaches past them are the
+levels _HEAD..n_sat added by Gregory's form of Euler-Maclaurin
+(``_tail_sum``), so a curve costs the same at any n_sat.
 """
 
 from __future__ import annotations
@@ -67,25 +68,6 @@ def reference_partition_function(beta: float) -> ThermoPoint:
                        N_used=None)
 
 
-def _point(e0: float, d: np.ndarray, beta: float, n_used: int) -> ThermoPoint:
-    """Boltzmann moments over the levels E = e0 + d (d >= 0, d[0] = 0).
-
-    U comes from the offsets d and Cv from the two-pass variance
-    sum w (d - (U - e0))**2 / sum w, so neither cancels at low temperature,
-    where U - e0 is tiny.  d is sorted, so the levels past d = _CUT/beta
-    add nothing and are cut.
-    """
-    d = d[:np.searchsorted(d, _CUT / beta, side="right")]
-    w = np.exp(-beta * d)
-    w_sum = float(w.sum())
-    z = math.exp(-beta * e0) * w_sum
-    shift = float((w * d).sum() / w_sum)  # U - e0
-    var = float((w * (d - shift) ** 2).sum() / w_sum)
-    # beta**2 overflows past 1.3e154, where var is 0 (one level left) or tiny
-    cv = beta * beta * var if beta < 1e154 else beta * (beta * var)
-    return ThermoPoint(beta=beta, Z=z, U=e0 + shift, Cv=cv, N_used=n_used)
-
-
 def _tail_sum(params: ModelParams, e0: float, n_sat: int, f) -> np.ndarray:
     """The sum over n = _HEAD..n_sat of f(d_n), d_n = E_n - e0, where f
     maps a column of offsets to one row of terms per offset.
@@ -115,36 +97,44 @@ def _tail_sum(params: ModelParams, e0: float, n_sat: int, f) -> np.ndarray:
     return total
 
 
-def _tail_points(params: ModelParams, e0: float, head: np.ndarray,
-                 n_sat: int, betas: np.ndarray) -> list[ThermoPoint]:
-    """Thermo points for betas whose cut reaches past the head levels
-    0.._HEAD-1 (offsets ``head``): the moments of ``_point`` over those,
-    the tail _HEAD..n_sat and the accumulation point.  Z and U - e0 come
-    first, then Cv from sum w (d - (U - e0))**2 over the same three parts,
-    so it does not cancel either."""
+def _points(params: ModelParams, e0: float, d: np.ndarray, n_sat: int,
+            betas: np.ndarray, tail: bool) -> list[ThermoPoint]:
+    """Thermo points for ``betas``: Boltzmann moments over the levels
+    E = e0 + d (d sorted, d[0] = 0) up to each beta's cut d = _CUT/beta,
+    the accumulation point as one term, exactly 0 where the cut stops inside
+    d, and, where ``tail`` is set, the levels _HEAD..n_sat by ``_tail_sum``.
+    Z and U - e0 come first, then Cv from sum w (d - (U - e0))**2 / sum w
+    over the same parts, so neither cancels at low temperature."""
     d_limit = saturation_limit(params) - e0
+    heads = [d[:k] for k in np.searchsorted(d, _CUT / betas, side="right")]
 
     def moments(*fs, shift):
-        # each f(d, beta, shift) summed over the three parts, one value per
-        # beta; the tails of all fs are taken in one integral
-        tails = _tail_sum(params, e0, n_sat, lambda d: np.concatenate(
-            [f(d, betas, shift) for f in fs], axis=1))
-        return [np.array([f(head, beta, c).sum()
-                          for beta, c in zip(betas, shift)])
-                + tail + f(d_limit, betas, shift)
-                for f, tail in zip(fs, np.split(tails, len(fs)))]
+        # each f(w, d, shift), w = exp(-beta d), summed over the parts: one
+        # row per f, one column per beta (there may be none); the tails of
+        # all fs in one integral
+        def terms(beta, d, c):
+            w = np.exp(-beta * d)
+            return [f(w, d, c) for f in fs]
 
-    w_sum, w_d = moments(lambda d, beta, c: np.exp(-beta * d),
-                         lambda d, beta, c: np.exp(-beta * d) * d,
+        sums = np.array([[t.sum() for t in terms(beta, h, c)]
+                         for beta, h, c in zip(betas, heads, shift)])
+        sums = sums.reshape(-1, len(fs)).T
+        if tail:
+            sums += _tail_sum(params, e0, n_sat, lambda x: np.concatenate(
+                terms(betas, x, shift), axis=1)).reshape(len(fs), -1)
+        # beta d_limit may overflow past the cut, to a term of exactly 0
+        with np.errstate(over="ignore"):
+            return sums + terms(betas, d_limit, shift)
+
+    w_sum, w_d = moments(lambda w, d, c: w, lambda w, d, c: w * d,
                          shift=np.zeros_like(betas))
     shift = w_d / w_sum
-    w_var, = moments(lambda d, beta, c: np.exp(-beta * d) * (d - c) ** 2,
-                     shift=shift)
-    var = w_var / w_sum
-    z = np.exp(-betas * e0) * w_sum
-    return [ThermoPoint(beta=float(b), Z=float(zb), U=float(e0 + c),
-                        Cv=float(b * b * v), N_used=n_sat)
-            for b, zb, c, v in zip(betas, z, shift, var)]
+    var = moments(lambda w, d, c: w * (d - c) ** 2, shift=shift)[0] / w_sum
+    # beta**2 overflows past 1.3e154, where var is 0 (one level left) or tiny
+    return [ThermoPoint(beta=float(b), Z=math.exp(-b * e0) * float(z),
+                        U=float(e0 + c), N_used=n_sat,
+                        Cv=float(b * b * v if b < 1e154 else b * (b * v)))
+            for b, z, c, v in zip(betas, w_sum, shift, var)]
 
 
 def specific_heat_curve(params: ModelParams, beta_grid,
@@ -153,11 +143,12 @@ def specific_heat_curve(params: ModelParams, beta_grid,
 
     gamma = 0 routes to the textbook reference.  Otherwise the levels are
     0..n_sat (the saturation index at eps_sat) plus the accumulation point
-    as exactly one pseudo-level.  Below n_sat = _HEAD + len(_GREGORY) they
-    are summed whole.  Otherwise only levels 0.._HEAD are built: a beta
-    whose cut stops before level _HEAD sums them directly, bit for bit as
-    the whole set would, and the betas up to _CUT / d_HEAD (a prefix of the
-    grid) add the tail by ``_tail_points``.
+    as exactly one pseudo-level, their moments taken by ``_points``.  Below
+    n_sat = _HEAD + len(_GREGORY) they are summed whole.  Otherwise only
+    levels 0.._HEAD are built: the betas up to _CUT / d_HEAD (a prefix of
+    the grid) sum levels 0.._HEAD-1 and add the tail, in blocks; every
+    other beta's cut stops before level _HEAD, so it sums the levels
+    directly, bit for bit as the whole set would.
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0:
@@ -167,20 +158,14 @@ def specific_heat_curve(params: ModelParams, beta_grid,
     if params.gamma == 0:
         return [reference_partition_function(b) for b in beta_grid]
     n_sat = saturation_index(params, eps_sat)
-    if n_sat < _HEAD + len(_GREGORY):
-        energies = np.append(_energies(params, np.arange(n_sat + 1)),
-                             saturation_limit(params))
-        n_tail = 0
-    else:
-        energies = _energies(params, np.arange(_HEAD + 1))
-        n_tail = int(np.count_nonzero(energies[-1] - energies[0]
-                                      <= _CUT / beta_grid))
+    whole = n_sat < _HEAD + len(_GREGORY)
+    energies = _energies(params, np.arange((n_sat if whole else _HEAD) + 1))
     e0 = energies[0]
     d = energies - e0
+    n_tail = 0 if whole else int(np.count_nonzero(d[-1] <= _CUT / beta_grid))
     points = []
     # in blocks, so that the tail's arrays stay small on any grid
     for i in range(0, n_tail, _TAIL_BLOCK):
-        points += _tail_points(params, e0, d[:-1], n_sat,
-                               beta_grid[i:min(i + _TAIL_BLOCK, n_tail)])
-    return points + [_point(e0, d, float(b), n_sat)
-                     for b in beta_grid[n_tail:]]
+        points += _points(params, e0, d[:-1], n_sat,
+                          beta_grid[i:min(i + _TAIL_BLOCK, n_tail)], True)
+    return points + _points(params, e0, d, n_sat, beta_grid[n_tail:], False)

@@ -8,7 +8,7 @@ from edho import (DomainError, ModelParams, eigenvalue,
                   reference_partition_function, saturation_limit,
                   specific_heat_curve)
 from edho.spectrum import _energies
-from edho.thermo import _CUT, _GREGORY, _HEAD, _point, _tail_sum
+from edho.thermo import _CUT, _GREGORY, _HEAD, _tail_sum
 
 
 def longdouble_point(gamma, nu, n_sat, beta):
@@ -211,22 +211,24 @@ class TestSpecificHeatCurve:
             for got, ref in zip((point.Z, point.U, point.Cv), want):
                 assert got == pytest.approx(ref, rel=1e-13, abs=0), beta
 
-    @pytest.mark.parametrize("nu,gamma", [(1, -0.4985), (2, -0.1242)])
-    def test_shortest_tail_against_whole_sum(self, nu, gamma):
-        # n_sat = _HEAD + len(_GREGORY) is the shortest level set whose
-        # tail Gregory sums: its seven points at each end just fit
+    # n_sat = _HEAD + len(_GREGORY) is the shortest level set whose tail
+    # Gregory sums: its seven points at each end just fit; one level fewer
+    # is the longest set summed whole
+    @pytest.mark.parametrize("nu,gamma,n_sat", [
+        pytest.param(nu, gamma, n_sat, id=f"{nu}-{gamma}")
+        for nu, gamma, n_sat in [(1, -0.4985, _HEAD + len(_GREGORY)),
+                                 (2, -0.1242, _HEAD + len(_GREGORY)),
+                                 (1, -0.49863, _HEAD + len(_GREGORY) - 1),
+                                 (2, -0.124316, _HEAD + len(_GREGORY) - 1)]])
+    def test_shortest_tail_against_whole_sum(self, nu, gamma, n_sat):
         params = ModelParams(gamma=gamma, nu=nu)
         edge = head_boundary(params)
         betas = [1e-3, 0.05 * edge, 0.5 * edge, 0.999 * edge]
         curve = specific_heat_curve(params, betas)
-        n_sat = curve[0].N_used
-        assert n_sat == _HEAD + len(_GREGORY)
-        energies = np.append(_energies(params, np.arange(n_sat + 1)),
-                             saturation_limit(params))
+        assert curve[0].N_used == n_sat
         for beta, point in zip(betas, curve):
-            want = _point(energies[0], energies - energies[0], beta, n_sat)
-            for got, ref in zip((point.Z, point.U, point.Cv),
-                                (want.Z, want.U, want.Cv)):
+            want = longdouble_point(gamma, nu, n_sat, beta)
+            for got, ref in zip((point.Z, point.U, point.Cv), want):
                 assert got == pytest.approx(ref, rel=1e-13, abs=0), beta
 
     @pytest.mark.parametrize("beta", [0.01, 0.03])
@@ -288,6 +290,16 @@ class TestSpecificHeatCurve:
         params = ModelParams(gamma=gamma, nu=nu)
         point, = specific_heat_curve(params, [1e300])
         e0 = eigenvalue(params, 0).energy
+        assert (point.Z, point.U, point.Cv) == (0.0, e0, 0.0)
+
+    @pytest.mark.parametrize("gamma", [-1e-3, -0.5])
+    def test_accumulation_point_past_the_cut(self, gamma):
+        # beta times the accumulation point's offset overflows; that term
+        # is exactly 0, and no overflow warning is raised
+        params = ModelParams(gamma=gamma, nu=1)
+        beta, e0 = 1.7e308, eigenvalue(params, 0).energy
+        assert beta * (saturation_limit(params) - e0) == math.inf
+        point, = specific_heat_curve(params, [beta])
         assert (point.Z, point.U, point.Cv) == (0.0, e0, 0.0)
 
     def test_grid_validation(self):
