@@ -23,9 +23,9 @@ from .spectrum import DensityMode, EnergyLevel, ModelParams
 _PSI_MAX_N = 680
 
 # points per block of hermite_fn_pair: its three 256 KB buffers stay in L2.
-# On the 175k points of a Shannon grid at n = 680 (2-CPU Xeon, 2 MB L2 per
-# core) one call took 128 ms, against 151-154 ms at 2**13-2**14, 141-220 ms
-# at 2**16-2**17, 304 ms unblocked and 581 ms one new array per operation
+# On the 87.6k points of a Shannon grid at n = 680 (257 tau nodes times 341
+# pieces; 2-CPU Xeon, 2 MB L2 per core) one call took 69-73 ms, against
+# 83-91 ms at 2**13-2**14, 73-76 ms at 2**16 and 89-108 ms in one block
 _BLOCK = 2 ** 15
 _FLOAT_MAX, _FLOAT_TINY = np.finfo(float).max, np.finfo(float).tiny
 

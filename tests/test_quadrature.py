@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import edho.thermo
 from edho import (ModelParams, NonConvergence, eigenvalue, entropy_density,
                   gaussian_window, integrate)
 from edho import quadrature
+from edho.spectrum import _energies
+from edho.thermo import _tail_sum
 from edho.wavefunction import hermite_fn_pair
 from shannon_oracle import shannon_by_quad
 
@@ -98,6 +101,41 @@ def test_kinked_integrand_stops_late_enough():
     assert value == pytest.approx(shannon_by_quad(level, params), rel=1e-9)
 
 
+@pytest.mark.parametrize("window", [30.0, gaussian_window(1.0, 0)])
+def test_resolved_gaussian_stops_at_257_nodes(window):
+    # on [-30, 30] the first grid's step is 1.9, and the three halvings
+    # change the sum by about 0.2, 5e-5 and rounding: each of the second
+    # and third cuts the change more than 64-fold.  On gaussian_window(1, 0)
+    # = 11 the first grid already resolves it, and they change it by
+    # rounding only.  Either way the rule stops at the third halving, with
+    # the last change as its estimate
+    sizes = []
+    value, err = integrate(lambda x: sizes.append(len(x)) or np.exp(-x * x),
+                           window, 1e-12)
+    assert sizes == [257]
+    assert err <= 1e-12 * value
+    assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12, abs=0)
+
+
+def test_thermo_tail_takes_513_nodes(monkeypatch):
+    # the tail column of test_tail_sum_against_direct_sum at beta = 0.03 is
+    # worth about 1e-22, far under _ABS_TOL from the first grid on.  Its
+    # changes fall 30-fold at the second halving and 3500-fold at the
+    # third, one fast halving only: stopped at 257 nodes it is 1.3e-13
+    # off the direct sum, so the rule must take a fourth halving
+    sizes = []
+
+    def counting(integrand, window, rel_tol):
+        return integrate(lambda tau: sizes.append(len(tau)) or integrand(tau),
+                         window, rel_tol)
+
+    monkeypatch.setattr(edho.thermo, "integrate", counting)
+    params = ModelParams(gamma=-1e-4, nu=1)
+    e0 = float(_energies(params, 0))
+    _tail_sum(params, e0, 10**7, lambda d: np.exp(-0.03 * d))
+    assert sizes == [257, 256]
+
+
 def test_window_is_required():
     with pytest.raises(TypeError):
         integrate(lambda x: np.exp(-x * x))
@@ -158,16 +196,17 @@ def test_tanh_sinh_nodes_rise_inside_the_interval():
 
 
 def _integrate_by_grids(integrand, window, rel_tol):
-    """``integrate`` with one integrand call per grid (65, 64, 128, 256, ...
+    """``integrate`` with one integrand call per grid (33, 32, 64, 128, ...
     nodes): the reference whose results ``integrate`` must equal bit for
     bit."""
     a = -window
-    n = 64
+    n = 32
     h = 2.0 * window / n
     fx = np.asarray(integrand(np.linspace(a, window, n + 1)), dtype=float)
     larger, every = (max, bool) if fx.ndim == 1 else (np.maximum, np.all)
     value = h * (fx.sum(axis=0) - 0.5 * (fx[0] + fx[-1]))
-    prev_change = math.inf
+    abs_sum = np.abs(fx).sum(axis=0)
+    changes = [math.inf]
     for k in range(1, quadrature._MAX_REFINEMENTS + 1):
         h *= 0.5
         mids = a + h * np.arange(1, 2 * n, 2)
@@ -176,11 +215,19 @@ def _integrate_by_grids(integrand, window, rel_tol):
         refined = 0.5 * value + h * fx.sum(axis=0)
         change = abs(refined - value)
         value = refined
-        err = larger(change, prev_change / quadrature._KINK_RATE)
-        if k >= 3 and every(err <= larger(quadrature._ABS_TOL,
-                                          rel_tol * abs(value))):
+        changes.append(change)
+        tol = larger(quadrature._ABS_TOL, rel_tol * abs(value))
+        if k <= 3:
+            abs_sum = abs_sum + np.abs(fx).sum(axis=0)
+        # rounding: a share of the integral of |f| over the 257 nodes
+        noise = quadrature._ROUNDING * h * abs_sum
+        if k == 3 and all(every((quadrature._FAST_RATE * changes[j]
+                                 < changes[j - 1]) | (changes[j] <= noise))
+                          for j in (2, 3)) and every(change <= tol):
+            return value, change
+        err = larger(change, changes[-2] / quadrature._KINK_RATE)
+        if k >= 4 and every(err <= tol):
             return value, err
-        prev_change = change
     raise NonConvergence(
         f"no convergence after {quadrature._MAX_REFINEMENTS} refinements "
         f"(last change {np.max(change):g})"
@@ -190,9 +237,9 @@ def _integrate_by_grids(integrand, window, rel_tol):
 _KINKED = ModelParams(gamma=-0.85, nu=1)
 _KINKED_LEVEL = eigenvalue(_KINKED, 22)
 
-# (integrand, window, rel_tol): the Gaussian stops at 513 nodes, the
+# (integrand, window, rel_tol): the Gaussian stops at 257 nodes, the
 # kinked rho ln rho of test_kinked_integrand_stops_late_enough and the
-# columns (one kinked) well past them, the step never
+# columns (one kinked) well past 513, the step never
 _BY_GRIDS_CASES = {
     "gaussian": (lambda x: np.exp(-x * x), gaussian_window(1.0, 0), 1e-8),
     "kinked": (lambda x: -entropy_density(_KINKED_LEVEL, _KINKED, x),
@@ -205,14 +252,14 @@ _BY_GRIDS_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_BY_GRIDS_CASES))
-def test_first_513_nodes_in_one_call_change_nothing(case, monkeypatch):
+def test_first_257_nodes_in_one_call_change_nothing(case, monkeypatch):
     # the same value and estimate bit for bit, or the same NonConvergence,
     # from the same nodes: the first call takes the nodes of the first four
     # grids of the grid-by-grid rule as one ascending grid, every later
     # call one grid
     f, window, rel_tol = _BY_GRIDS_CASES[case]
     if case == "step":
-        # six halvings (4,097 nodes) reach NonConvergence as well as 18,
+        # six halvings (2,049 nodes) reach NonConvergence as well as 18,
         # without holding 2**24 nodes per rule
         monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 6)
     results, calls = [], []
@@ -225,7 +272,7 @@ def test_first_513_nodes_in_one_call_change_nothing(case, monkeypatch):
             results.append(str(exc))
         calls.append(nodes)
     batched, by_grids = calls
-    assert [np.size(x) for x in by_grids[:4]] == [65, 64, 128, 256]
+    assert [np.size(x) for x in by_grids[:4]] == [33, 32, 64, 128]
     assert np.array_equal(batched[0], np.sort(np.concatenate(by_grids[:4])))
     assert len(batched) == len(by_grids) - 3
     assert all(np.array_equal(x, y) for x, y in zip(batched[1:], by_grids[4:]))
