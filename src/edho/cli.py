@@ -196,26 +196,28 @@ _AXES = {
 }
 
 
-# Each compute maps (spec, params, cell) to its value columns over the
-# cell: one sequence of values per point, or one value every point shares;
-# a cell is either a whole first axis or one value of it.  The values reach
-# eigenvalue, fisher_numeric, ... as module globals at call time, so
-# anything that rebinds those names here sees every call.
+# Each compute maps (spec, params, cell, table) to its value columns over
+# the cell: one sequence of values per point, or one value every point
+# shares; a cell is either a whole first axis or one value of it.  table is
+# a dict that lives for one output of one sweep, where a compute may keep
+# what it made for every coupling at once.  The values reach eigenvalue,
+# fisher_numeric, ... as module globals at call time, so anything that
+# rebinds those names here sees every call.
 
-def _spectrum(spec, params, levels):
+def _spectrum(spec, params, levels, table):
     energies = _energies(params, levels)
     lam = energies / (np.asarray(levels) + 0.5)
     return [energies, lam,
             saturation_limit(params) if params.gamma < 0 else None]
 
 
-def _thermo(spec, params, betas):
+def _thermo(spec, params, betas, table):
     curve = specific_heat_curve(params, betas, eps_sat=spec.eps_sat)
     # one saturation index (or None at gamma = 0) for the whole curve
     return [*zip(*[(pt.Z, pt.U, pt.Cv) for pt in curve]), curve[0].N_used]
 
 
-def _fisher(spec, params, n):
+def _fisher(spec, params, n, table):
     level = eigenvalue(params, n)
     # the truncated closed form reads nan where it leaves its regime at
     # strong coupling; the exact value fails the row where f vanishes (g > 0)
@@ -227,22 +229,36 @@ def _fisher(spec, params, n):
     return [closed, numeric, numeric]
 
 
-def _cramer_rao(spec, params, n):
+def _cramer_rao(spec, params, n, table):
     level = eigenvalue(params, n)
     fisher, variance = fisher_numeric(level, params), moments(level, params)
     return [fisher, variance, fisher * variance]
 
 
-def _shannon(spec, params, n):
-    return [shannon_entropy(eigenvalue(params, n), params)]
+def _shannon(spec, params, n, table):
+    # the first coupling that reaches level n takes it for every coupling
+    # in one call, kept in table; where that call raises, and past the order
+    # limit, each coupling takes the level alone, so that its row, or its
+    # error text, is the one a sweep of that coupling alone writes
+    if n <= _PSI_MAX_N and n not in table:
+        each = [spec.params(gamma) for gamma in spec.gamma_list]
+        try:
+            table[n] = dict(zip(spec.gamma_list, shannon_entropy(
+                [eigenvalue(p, n) for p in each], each)))
+        except Exception:
+            table[n] = None
+    values = table.get(n)
+    if values is None:
+        return [shannon_entropy(eigenvalue(params, n), params)]
+    return [values[params.gamma]]
 
 
-def _density(spec, params, n):
+def _density(spec, params, n, table):
     return [density(eigenvalue(params, n), params,
                     np.asarray(_AXES["x"](spec)))]
 
 
-def _perey(spec, params, xs):
+def _perey(spec, params, xs, table):
     return [perey_factor(params, np.asarray(xs))]
 
 
@@ -269,14 +285,17 @@ def _rows(spec: SweepSpec, name: str):
     cell share; a later axis (density's x, formatted once per sweep) is
     then a column.  A cell that raises gives one error row per point, with
     its keys and blank values; a whole-axis cell is first retried one point
-    at a time, so only the points that fail become error rows."""
+    at a time, so only the points that fail become error rows.  Each call
+    gives its compute a new table, which it drops when the output is done."""
     keys, columns, compute, whole = _OUTPUTS[name]
     first, *rest = (_AXES[key](spec) for key in keys)
     rest = [[*map(_FMT, axis)] for axis in rest]
+    table = {}
 
     def cells(gamma, lead, cell):
         try:
-            values, error = compute(spec, spec.params(gamma), cell), ""
+            values, error = compute(spec, spec.params(gamma), cell,
+                                    table), ""
         except Exception as exc:
             values = [None] * len(columns)
             error = f"{type(exc).__name__}: {exc}"

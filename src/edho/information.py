@@ -4,21 +4,27 @@ Both Fisher routes evaluate the exact identity ``_fisher`` and differ only
 in its integral I_n: ``fisher_numeric`` takes it exact from a three-term
 recurrence (``_i_n``, no quadrature), ``fisher_closed`` truncates its
 series, well within 1% for |gamma| <= 0.1.  The Shannon entropy has no
-closed form and is integrated.
+closed form and is integrated, in y = sqrt(lam) x, where the coupling
+enters the density only through three numbers per level: sqrt(lam), the
+brace b and c = -g/lam.  The zeros of H_n, the quadrature nodes and h_n(y)
+are those of the ordinary oscillator, so a level's zeros and its Hermite
+pass on each quadrature grid serve every coupling of a sweep.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
+from . import wavefunction
 from .errors import DomainError
 from .quadrature import gaussian_window, integrate, tanh_sinh
 from .spectrum import EnergyLevel, ModelParams
 # unused here: bench/tracing.py wraps density_gradient_sq_terms at this site
 from .wavefunction import (density, density_gradient_sq_terms,
-                           weight_coefficient, _brace, _check_order)
+                           weight_coefficient, _amplitude, _brace)
 
 _ENTROPY_REL_TOL = 1e-10
 _RHO_FLOOR = 1e-300  # rho ln rho is 0 at and below it (0 ln 0 = 0)
@@ -129,11 +135,18 @@ def cramer_rao(level: EnergyLevel, params: ModelParams) -> float:
     return fisher_numeric(level, params) * moments(level, params)
 
 
+def _rho_ln_rho(rho: np.ndarray) -> np.ndarray:
+    """rho ln rho over the array rho, in place: 0 at and below _RHO_FLOOR
+    (0 ln 0 = 0), and where rho is nan."""
+    small = ~(rho > _RHO_FLOOR)
+    rho *= np.log(np.maximum(rho, _RHO_FLOOR))
+    np.copyto(rho, 0.0, where=small)
+    return rho
+
+
 def entropy_density(level: EnergyLevel, params: ModelParams, x):
     """Pointwise rho ln rho, with the 0 ln 0 = 0 convention below _RHO_FLOOR."""
-    rho = density(level, params, x)
-    return np.where(rho > _RHO_FLOOR,
-                    rho * np.log(np.maximum(rho, _RHO_FLOOR)), 0.0)[()]
+    return _rho_ln_rho(np.asarray(density(level, params, x)))[()]
 
 
 def _hermite_zeros(n: int) -> np.ndarray:
@@ -148,29 +161,67 @@ def _hermite_zeros(n: int) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
 
 
-def shannon_entropy(level: EnergyLevel, params: ModelParams) -> float:
+def shannon_entropy(level, params):
     """Position-space entropy -integral of rho ln rho (numeric only).
 
-    rho ln rho has x**2 ln x**2 kinks at the zeros of H_n, which slow the
-    trapezoid rule to about h**3.  rho is even, so [0, L] is cut at the
-    positive zeros and each of the K pieces is mapped from tau in [-T, T]
-    by ``tanh_sinh``.  All pieces share one tau grid: the integrand sums
-    the K mapped pieces at each node.  Each mapped piece is smooth in tau
-    and vanishes doubly exponentially at +-T, so ``integrate`` converges
-    exponentially.
-    An order past the wavefunction's limit is a DomainError.
+    Takes one level and its params, or equal-length sequences of levels of
+    one order n and their params (one per coupling), and then returns an
+    array of one entropy per coupling.  In y = sqrt(lam) x the density is
+    rho = s h_n(y)**2 (1 + c y**2), with s = sqrt(lam)/b and c = -g/lam,
+    and dx = dy / sqrt(lam).  rho ln rho has y**2 ln y**2 kinks at the zeros
+    of H_n, which slow the trapezoid rule to about h**3.  rho is even, so
+    [0, L] is cut at the positive zeros and each of the K pieces is mapped
+    from tau in [-T, T] by ``tanh_sinh``.  All pieces share one tau grid,
+    and the integrand sums the K mapped pieces at each node.  Each mapped
+    piece is smooth in tau and vanishes doubly exponentially at +-T, so
+    ``integrate`` converges exponentially.  Every coupling is one integral
+    that stops on its own, but the zeros, and on each tau grid the nodes,
+    weights and h_n(y)**2, are computed once for all of them; so a value
+    is bit for bit the one its level gives alone.
+    A coupling whose level is past the wavefunction's order limit, whose
+    brace ``_brace`` refuses, or whose sqrt(lam)/b is subnormal is a
+    DomainError for the whole call, raised before the zeros.
     """
-    n, a = level.n, math.sqrt(level.lam)
-    _check_order(n)  # psi would, but after the zeros' n x n eigenproblem
+    single = isinstance(level, EnergyLevel)
+    levels, each = ([level], [params]) if single else (level, params)
+    if len(levels) != len(each) or len({lv.n for lv in levels}) != 1:
+        raise ValueError("shannon_entropy needs levels of one order, "
+                         "one params per level")
+    n = levels[0].n
+    # (sqrt(lam), s, c) per coupling; _amplitude refuses an order past
+    # the limit before the zeros' n x n eigenproblem.  c y**2 stays below
+    # 1e266 wherever _amplitude passes, so 1 + c y**2 never overflows
+    couplings = []
+    for lv, p in zip(levels, each):
+        a, s = _amplitude(lv, p)
+        couplings.append((a, s, -weight_coefficient(p, lv) / lv.lam))
     # the middle zero of an odd order comes out as about +2e-16, not 0,
     # so slice by count rather than filter by sign
-    cuts = np.concatenate(([0.0], _hermite_zeros(n)[(n + 1) // 2:] / a,
-                           [gaussian_window(level.lam, n)]))
+    cuts = np.concatenate(([0.0], _hermite_zeros(n)[(n + 1) // 2:],
+                           [gaussian_window(1.0, n)]))
     lo, width = cuts[:-1], np.diff(cuts)
+    grids = {}  # tau grid -> y**2, weights and h_n(y)**2 at its nodes
 
-    def integrand(tau):
-        x, weights = tanh_sinh(tau[:, None], lo, width)
-        return -(entropy_density(level, params, x) * weights).sum(axis=1)
+    def integrand(a, s, c, tau):
+        key = tau.tobytes()
+        if key not in grids:
+            y, weights = tanh_sinh(tau[:, None], lo, width)
+            # a new array: h_n is a view into one block with h_{n-1},
+            # which is let go here
+            h2 = np.square(wavefunction.hermite_fn_pair(n, y)[0])
+            y *= y
+            grids[key] = y, weights, h2
+        y2, weights, h2 = grids[key]
+        rho = np.multiply(y2, c)
+        rho += 1.0
+        rho *= h2
+        rho *= s
+        _rho_ln_rho(rho)
+        rho *= weights
+        return rho.sum(axis=1) / -a
 
-    value, _ = integrate(integrand, _TANH_SINH_T, _ENTROPY_REL_TOL)
-    return 2.0 * value
+    values = np.array([integrate(partial(integrand, *coupling), _TANH_SINH_T,
+                                 _ENTROPY_REL_TOL)[0]
+                       for coupling in couplings])
+    values *= 2.0
+    return values[0] if single else values

@@ -133,14 +133,12 @@ def _check_order(n: int) -> None:
                           "whose wavefunction stays accurate")
 
 
-def _scaled(level: EnergyLevel, params: ModelParams, x):
-    """(normalization, sqrt(lam), y = sqrt(lam) x) of psi and psi_prime.
+def _amplitude(level: EnergyLevel, params: ModelParams) -> tuple[float, float]:
+    """(sqrt(lam), sqrt(lam)/b): psi**2 = (sqrt(lam)/b) h_n(y)**2.
 
-    Past |y| = 38.6 the start exp(-y**2/2) of hermite_fn_pair underflows
-    to 0, and with it h_n of every order; y is clipped at 1e150, which
-    changes no value and keeps psi_prime's y h_n finite.  Where
-    sqrt(lam)/b is subnormal the normalization has lost its precision: a
-    DomainError (|gamma| from about 3e123 at n = 0 and 2e120 at n = 680 for
+    A DomainError past _PSI_MAX_N, where ``_brace`` fails, and where
+    sqrt(lam)/b is subnormal, so that the normalization has lost its
+    precision (|gamma| from about 3e123 at n = 0 and 2e120 at n = 680 for
     nu = 1, 2.5e176 and 8e171 for nu = 2 in the paper density mode).
     """
     _check_order(level.n)
@@ -149,6 +147,17 @@ def _scaled(level: EnergyLevel, params: ModelParams, x):
     if ratio < _FLOAT_TINY:
         raise DomainError(f"sqrt(lam)/b = {ratio:.3g} is below the normal "
                           f"float range at n={level.n}, gamma={params.gamma}")
+    return a, ratio
+
+
+def _scaled(level: EnergyLevel, params: ModelParams, x):
+    """(normalization, sqrt(lam), y = sqrt(lam) x) of psi and psi_prime.
+
+    Past |y| = 38.6 the start exp(-y**2/2) of hermite_fn_pair underflows
+    to 0, and with it h_n of every order; y is clipped at 1e150, which
+    changes no value and keeps psi_prime's y h_n finite.
+    """
+    a, ratio = _amplitude(level, params)
     y = np.asarray(a * np.asarray(x, dtype=float))  # a new array, even 0-d
     return math.sqrt(ratio), a, np.clip(y, -1e150, 1e150, out=y)
 

@@ -266,6 +266,76 @@ def test_density_and_perey_where_g_x2_overflows(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def data_lines(path):
+    return path.read_bytes().split(b"\r\n")[1:-1]
+
+
+class TestShannonSweep:
+    def sweep(self, argv, gammas, out):
+        assert main([*argv, "--gamma=" + ",".join(gammas),
+                     "--out", str(out)]) == 0
+        return data_lines(out / "shannon.csv")
+
+    @pytest.mark.parametrize("mode", ["paper", "nu-consistent"])
+    @pytest.mark.parametrize("nu", ["1", "2"])
+    def test_couplings_together_write_each_alone(self, nu, mode, tmp_path,
+                                                 capsys):
+        # a coupling's rows are byte for byte those of its sweep alone; at
+        # nu = 2, gamma = 0.1 the levels n >= 3 have no energy, so there
+        # the call for every coupling raises and each takes the level alone
+        gammas = ("-0.5", "0", "0.1")
+        argv = ["shannon", "--nu", nu, "--density-mode", mode,
+                "--permissive", "--n-max", "6"]
+        together = self.sweep(argv, gammas, tmp_path / "all")
+        alone = [line for i, gamma in enumerate(gammas)
+                 for line in self.sweep(argv, [gamma], tmp_path / str(i))]
+        assert together == alone and len(together) == 21
+        errors = [line for line in together if not line.endswith(b",")]
+        assert all(b',,"NonPositiveEnergy: ' in line for line in errors)
+        assert len(errors) == (4 if nu == "2" else 0)
+        assert capsys.readouterr().err == ""
+
+    def test_refused_coupling_keeps_its_error_rows(self, tmp_path, capsys):
+        # at gamma = -1e130 sqrt(lam)/b is 0: every level of that coupling
+        # fails the call for both, and each coupling takes its level alone
+        argv = ["shannon", "--n-max", "2"]
+        together = self.sweep(argv, ["-0.5", "-1e130"], tmp_path / "all")
+        alone = [self.sweep(argv, [gamma], tmp_path / gamma)
+                 for gamma in ("-0.5", "-1e130")]
+        assert together == alone[0] + alone[1]
+        assert all(line.endswith(b",") for line in alone[0])
+        assert all(b',,"DomainError: sqrt(lam)/b = 0 ' in line
+                   for line in alone[1])
+        assert capsys.readouterr().err == ""
+
+    def test_one_hermite_pass_per_level_for_every_coupling(self, tmp_path,
+                                                           monkeypatch):
+        # three couplings make the zeros and Hermite calls of one; each
+        # coupling is its own integral over the shared tau grids
+        calls = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(edho.wavefunction, "hermite_fn_pair")
+        counting(edho.information, "_hermite_zeros")
+        counting(edho.information, "integrate")
+        seen = []
+        for gammas in (["-0.5"], ["-0.5", "-0.2", "-0.05"]):
+            calls.clear()
+            self.sweep(["shannon", "--n-max", "6"], gammas,
+                       tmp_path / str(len(gammas)))
+            seen.append(dict(calls))
+        assert seen == [
+            {"hermite_fn_pair": 7, "_hermite_zeros": 7, "integrate": 7},
+            {"hermite_fn_pair": 7, "_hermite_zeros": 7, "integrate": 21}]
+
+
 # (argv, output, key columns after nu and gamma, number of error rows,
 #  whether a row must fail)
 ERROR_SWEEPS = {

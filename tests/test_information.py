@@ -10,7 +10,7 @@ import edho.wavefunction
 from edho import (DensityMode, DomainError, ModelParams, cramer_rao, density,
                   eigenvalue, entropy_density, fisher_closed, fisher_numeric,
                   gaussian_window, integrate, moments, shannon_entropy)
-from edho.information import _hermite_zeros, _i_n
+from edho.information import _hermite_zeros, _i_n, _rho_ln_rho
 from edho.wavefunction import weight_coefficient
 from fisher_oracle import fisher_by_quad, i_n_by_quad
 from shannon_oracle import shannon_by_quad
@@ -328,15 +328,16 @@ class TestShannon:
     def test_points_per_level(self, monkeypatch, n, most):
         # splitting at the zeros keeps the integrand smooth; on the kinked
         # integrand the trapezoid rule needed 131073 and 524289 points here.
-        # Counted are the x where rho ln rho is evaluated, every piece at
-        # every tau node: 257 (n/2 + 1) of them, 3341 and 25957
+        # Counted are the y where h_n is evaluated, every piece at every
+        # tau node: 257 (n/2 + 1) of them, 3341 and 25957
         points = []
+        hermite = edho.wavefunction.hermite_fn_pair
 
-        def counting(level, params, x):
-            points.append(np.size(x))
-            return entropy_density(level, params, x)
+        def counting(n, y):
+            points.append(np.size(y))
+            return hermite(n, y)
 
-        monkeypatch.setattr(edho.information, "entropy_density", counting)
+        monkeypatch.setattr(edho.wavefunction, "hermite_fn_pair", counting)
         params = ModelParams(gamma=-0.5, nu=1)
         shannon_entropy(eigenvalue(params, n), params)
         assert 0 < sum(points) <= most
@@ -401,6 +402,66 @@ class TestShannon:
         with pytest.raises(DomainError, match="past n=680"):
             shannon_entropy(eigenvalue(params, n), params)
 
+    @pytest.mark.parametrize("mode", ["paper", "nu-consistent"])
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_couplings_together_are_each_alone(self, nu, mode):
+        # every coupling is its own integral on the shared grids, so a value
+        # is bit for bit the one its level gives alone
+        each = [ModelParams(gamma=gamma, nu=nu, density_mode=DensityMode(mode))
+                for gamma in (-0.5, 0.0, -1e-5, -1e3)]
+        for n in (0, 3, 24):
+            levels = [eigenvalue(p, n) for p in each]
+            together = shannon_entropy(levels, each)
+            alone = [shannon_entropy(lv, p) for lv, p in zip(levels, each)]
+            np.testing.assert_array_equal(together, alone)
+
+    def test_one_hermite_pass_for_every_coupling(self, monkeypatch):
+        # the zeros once per level, and h_n once per tau grid: three
+        # couplings make the calls of one
+        calls = {"zeros": 0, "hermite": 0}
+        zeros, hermite = _hermite_zeros, edho.wavefunction.hermite_fn_pair
+
+        def counting_zeros(n):
+            calls["zeros"] += 1
+            return zeros(n)
+
+        def counting_hermite(n, y):
+            calls["hermite"] += 1
+            return hermite(n, y)
+
+        monkeypatch.setattr(edho.information, "_hermite_zeros", counting_zeros)
+        monkeypatch.setattr(edho.wavefunction, "hermite_fn_pair",
+                            counting_hermite)
+        each = [ModelParams(gamma=gamma) for gamma in (-0.5, -0.2, -0.05)]
+        seen = []
+        for group in (each[:1], each):
+            calls.update(zeros=0, hermite=0)
+            shannon_entropy([eigenvalue(p, 24) for p in group], group)
+            seen.append(dict(calls))
+        assert seen == [{"zeros": 1, "hermite": 1}] * 2
+
+    @pytest.mark.parametrize("gammas,n,match", [
+        ((-0.5, -1e130), 0, "sqrt\\(lam\\)/b = 0 is below"),
+        ((-0.5, -0.2), 681, "past n=680")])
+    def test_one_failing_coupling_fails_all(self, gammas, n, match,
+                                            monkeypatch):
+        # each coupling is checked before the zeros, as it is alone
+        def refuse(n):
+            raise AssertionError("zeros computed for a refused coupling")
+
+        monkeypatch.setattr(edho.information, "_hermite_zeros", refuse)
+        each = [ModelParams(gamma=gamma) for gamma in gammas]
+        with pytest.raises(DomainError, match=match):
+            shannon_entropy([eigenvalue(p, n) for p in each], each)
+
+    def test_levels_of_one_order_and_their_params(self):
+        each = [ModelParams(gamma=-0.5), ModelParams(gamma=-0.2)]
+        with pytest.raises(ValueError, match="one order"):
+            shannon_entropy([eigenvalue(each[0], 1), eigenvalue(each[1], 2)],
+                            each)
+        with pytest.raises(ValueError, match="one order"):
+            shannon_entropy([eigenvalue(each[0], 1)], each)
+
     def test_floor_convention_stable(self, monkeypatch):
         params = ModelParams(gamma=-0.5, nu=1)
         level = eigenvalue(params, 2)
@@ -429,6 +490,16 @@ class TestEntropyDensity:
         x = np.linspace(0, 8, 81)
         np.testing.assert_array_equal(entropy_density(level, params, x),
                                       entropy_density(level, params, -x))
+
+    def test_rho_ln_rho_in_place(self):
+        # 0 ln 0 = 0 at and below the floor, for a negative rho (gamma > 0
+        # past the weight's zero) and for nan
+        rho = np.array([0.5, 1e-300, 2e-300, 0.0, -0.1, np.nan, 1.0])
+        out = _rho_ln_rho(rho)
+        assert out is rho
+        np.testing.assert_array_equal(
+            rho, [0.5 * math.log(0.5), 0.0, 2e-300 * math.log(2e-300), 0.0,
+                  0.0, 0.0, 0.0])
 
     def test_integrates_back_to_entropy(self):
         params = ModelParams(gamma=-0.3, nu=1)
