@@ -165,22 +165,20 @@ def shannon_entropy(level, params):
     """Position-space entropy -integral of rho ln rho (numeric only).
 
     Takes one level and its params, or equal-length sequences of levels of
-    one order n and their params (one per coupling), and then returns an
-    array of one entropy per coupling.  In y = sqrt(lam) x the density is
-    rho = s h_n(y)**2 (1 + c y**2), with s = sqrt(lam)/b and c = -g/lam,
-    and dx = dy / sqrt(lam).  rho ln rho has y**2 ln y**2 kinks at the zeros
-    of H_n, which slow the trapezoid rule to about h**3.  rho is even, so
-    [0, L] is cut at the positive zeros and each of the K pieces is mapped
-    from tau in [-T, T] by ``tanh_sinh``.  All pieces share one tau grid,
-    and the integrand sums the K mapped pieces at each node.  Each mapped
-    piece is smooth in tau and vanishes doubly exponentially at +-T, so
-    ``integrate`` converges exponentially.  Every coupling is one integral
-    that stops on its own, but the zeros, and on each tau grid the nodes,
-    weights and h_n(y)**2, are computed once for all of them; so a value
-    is bit for bit the one its level gives alone.
-    A coupling whose level is past the wavefunction's order limit, whose
-    brace ``_brace`` refuses, or whose sqrt(lam)/b is subnormal is a
-    DomainError for the whole call, raised before the zeros.
+    one order and their params, one per coupling, and then returns an
+    array of one entropy per coupling.  In y = sqrt(lam) x, rho dx =
+    s h_n(y)**2 (1 + c y**2) dy / sqrt(lam), with s = sqrt(lam)/b and
+    c = -g/lam.  rho ln rho has y**2 ln y**2 kinks at the zeros of H_n,
+    which slow the trapezoid rule to about h**3.  rho is even, so [0, L] is
+    cut at the positive zeros and each of the K pieces is mapped from tau
+    in [-T, T] by ``tanh_sinh``; the integrand sums the K mapped pieces at
+    each node of one shared tau grid.  Each mapped piece is smooth in tau
+    and vanishes doubly exponentially at +-T, so ``integrate`` converges
+    exponentially.  The zeros, and on each tau grid the nodes and
+    h_n(y)**2, serve every coupling.  Each coupling is its own integral,
+    so its value is bit for bit the one its level gives alone.  A coupling
+    that ``_amplitude`` refuses (past the order limit, a brace ``_brace``
+    refuses, a subnormal sqrt(lam)/b) fails the call, before the zeros.
     """
     single = isinstance(level, EnergyLevel)
     levels, each = ([level], [params]) if single else (level, params)
@@ -189,8 +187,9 @@ def shannon_entropy(level, params):
                          "one params per level")
     n = levels[0].n
     # (sqrt(lam), s, c) per coupling; _amplitude refuses an order past
-    # the limit before the zeros' n x n eigenproblem.  c y**2 stays below
-    # 1e266 wherever _amplitude passes, so 1 + c y**2 never overflows
+    # the limit before the zeros' n x n eigenproblem.  Wherever it passes,
+    # c y**2 came to at most 3e265 (nu 1 and 2, both modes, |gamma| up to
+    # 1e308), so 1 + c y**2 does not overflow
     couplings = []
     for lv, p in zip(levels, each):
         a, s = _amplitude(lv, p)
