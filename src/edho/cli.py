@@ -238,8 +238,9 @@ def _cramer_rao(spec, params, n, table):
 def _shannon(spec, params, n, table):
     # the first coupling that reaches level n takes it for every coupling
     # in one call, kept in table; where that call raises, and past the order
-    # limit, each coupling takes the level alone, so that its row, or its
-    # error text, is the one a sweep of that coupling alone writes
+    # limit (so the table holds at most 681 levels), each coupling takes the
+    # level alone, so that its row, or its error text, is the one a sweep of
+    # that coupling alone writes
     if n <= _PSI_MAX_N and n not in table:
         each = [spec.params(gamma) for gamma in spec.gamma_list]
         try:
