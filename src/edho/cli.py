@@ -16,7 +16,7 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice, repeat, starmap
+from itertools import repeat, starmap
 from pathlib import Path, PurePath
 
 import numpy as np
@@ -137,8 +137,9 @@ class SweepSpec:
 
 
 _FMT = "%.17g".__mod__
-# rows per write, so a cell's text is never held whole; chunks of 2048
-# rows raised the tables benchmark's peak RSS by about 0.2 MB
+# rows per write, so a cell's text is never held whole and a NumPy column
+# is turned into Python floats a chunk at a time; chunks of 2048 rows
+# raised the tables benchmark's peak RSS by 0.01-0.07 MB (three runs)
 _CHUNK = 256
 
 
@@ -148,35 +149,40 @@ def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
     A cell is (keys, columns, error): the text of the keys all its rows
     share, then each further column as a sequence of one value per row
     (strings are written as they are) or as one value all rows share (None
-    is a blank).  Each value is formatted once, by ``%.17g``, which prints
-    a number exactly as ``csv.writer`` prints its ``format(value, ".17g")``
-    (integers stay below 2**52, see SweepSpec).  Only an error text may
-    need quoting; it is quoted once per cell, as csv.writer quotes."""
+    is a blank).  Each cell becomes one %-template, which holds the keys,
+    the shared values and the error as text and one slot per sequence:
+    ``%.17g`` prints a number exactly as ``csv.writer`` prints its
+    ``format(value, ".17g")``, and ``%d`` a ``range`` of levels with the
+    same bytes, since integers stay below 2**52 (see SweepSpec).  Only an
+    error text may need quoting; it is quoted once per cell, as csv.writer
+    quotes."""
     counts = {"rows": 0, "error_rows": 0}
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
 
         def write(keys, columns, error):
-            # each column's text: one string all rows share, or one per row
-            fields, size = [*keys], 0
-            for c in columns:
-                if hasattr(c, "__len__"):
-                    fields.append(c if isinstance(c[0], str)
-                                  else map(_FMT, c))
-                    size = len(c)
-                else:
-                    fields.append("" if c is None else _FMT(c))
             # csv.writer's minimal quoting: in quotes, each quote doubled
             if any(ch in error for ch in ',"\r\n'):
                 error = '"' + error.replace('"', '""') + '"'
-            fields.append(error)
-            size = max(size, 1)  # a cell without a sequence is one row
+            # the text all rows share, each % doubled, and one slot per
+            # sequence
+            parts, seqs = [k.replace("%", "%%") for k in keys], []
+            for c in columns:
+                if hasattr(c, "__len__"):
+                    seqs.append(c)
+                    parts.append("%s" if isinstance(c[0], str) else
+                                 "%d" if isinstance(c, range) else "%.17g")
+                else:
+                    parts.append("" if c is None else _FMT(c))
+            template = ",".join([*parts, error.replace("%", "%%")]) + "\r\n"
+            size = len(seqs[0]) if seqs else 1  # one row without a sequence
             counts["rows"] += size
             counts["error_rows"] += size if error else 0
-            lines = map(",".join, zip(*[repeat(f, size) if isinstance(f, str)
-                                        else f for f in fields]))
-            while chunk := list(islice(lines, _CHUNK)):
-                fh.write("\r\n".join(chunk) + "\r\n")
+            for start in range(0, size, _CHUNK):
+                chunk = [c[start:start + _CHUNK] for c in seqs]
+                rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                             for c in chunk]) if seqs else [()]
+                fh.write("".join(map(template.__mod__, rows)))
 
         # starmap lets go of each cell once it is written, so no cell is
         # held while the next one is computed
@@ -187,6 +193,10 @@ def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
 
 _DEFAULT_BETAS = tuple(np.linspace(0.1, 10.0, 50))
 _DEFAULT_XS = tuple(np.linspace(-6.0, 6.0, 241))
+# values per density call, whose Hermite pass over a block of levels holds
+# six arrays of the block's size: a sweep of 681 levels of 241 points
+# peaked at 0.22 MB under tracemalloc, 8.1 MB with one call per coupling
+_DENSITY_POINTS = 2 ** 12
 
 # each key column after nu and gamma -> its values over one coupling
 _AXES = {
@@ -255,8 +265,23 @@ def _shannon(spec, params, n, table):
 
 
 def _density(spec, params, n, table):
-    return [density(eigenvalue(params, n), params,
-                    np.asarray(_AXES["x"](spec)))]
+    # the first level of a block of levels that holds about _DENSITY_POINTS
+    # values takes the block in one call, kept in table until each level is
+    # written; where that call raises, past the order limit, and on a grid
+    # of more than half that many points, each level is taken alone, so
+    # that its rows, or its error text, are those of the level alone
+    xs = _AXES["x"](spec)
+    top = min(n + _DENSITY_POINTS // len(xs), spec.n_max + 1, _PSI_MAX_N + 1)
+    if top - n > 1 and n not in table:
+        try:
+            rows = density([eigenvalue(params, m) for m in range(n, top)],
+                           params, np.asarray(xs))
+        except Exception:
+            rows = repeat(None)
+        table.update(zip(range(n, top), rows))
+    rho = table.pop(n, None)
+    return [density(eigenvalue(params, n), params, np.asarray(xs))
+            if rho is None else rho]
 
 
 def _perey(spec, params, xs, table):
@@ -445,6 +470,10 @@ def _parse_grid(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             "grid needs finite ends and a count from 1 to "
             f"{_MAX_GRID_COUNT}, got {text!r}")
+    if not math.isfinite(stop - start):
+        # also before linspace, which warns where the span overflows
+        raise argparse.ArgumentTypeError(
+            f"grid span stop - start overflows the float range, got {text!r}")
     return tuple(np.linspace(start, stop, count))
 
 

@@ -30,11 +30,15 @@ _BLOCK = 2 ** 15
 _FLOAT_MAX, _FLOAT_TINY = np.finfo(float).max, np.finfo(float).tiny
 
 
-def _recurrence(n: int, y: np.ndarray, bufs: np.ndarray):
-    """h_n(y), h_{n-1}(y) for a 1-D y in two of the three rows of bufs.
+def _recurrence(n: int, y: np.ndarray, bufs: np.ndarray, out: np.ndarray):
+    """h_{n+i}(y[i]) and h_{n+i-1}(y[i]) into out[0, i] and out[1, i], for
+    each row i of a 2-D y.
 
-    The rows rotate, so no step allocates; each step rounds exactly as
-    y * sqrt(2/(k+1)) * h_k - sqrt(k/(k+1)) * h_{k-1} does.
+    The three rows of bufs, each of y's shape, rotate, so no step
+    allocates; row i leaves the active suffix of rows once it reaches its
+    order n + i, and is written to out then (the last row after the last
+    step).  Each step rounds exactly as y * sqrt(2/(k+1)) * h_k
+    - sqrt(k/(k+1)) * h_{k-1} does.
     """
     h_prev, h, new = bufs
     h_prev.fill(0.0)
@@ -42,39 +46,43 @@ def _recurrence(n: int, y: np.ndarray, bufs: np.ndarray):
     h *= y
     np.exp(h, out=h)
     h *= math.pi ** -0.25
-    for k in range(n):
+    for k in range(n + len(y) - 1):
+        if k >= n:  # the first active row has reached its order k
+            out[0, k - n], out[1, k - n] = h[0], h_prev[0]
+            y, h_prev, h, new = y[1:], h_prev[1:], h[1:], new[1:]
         np.multiply(y, math.sqrt(2.0 / (k + 1)), out=new)
         new *= h
         h_prev *= math.sqrt(k / (k + 1))
         new -= h_prev
         h_prev, h, new = h, new, h_prev
-    return h, h_prev
+    out[0, -1], out[1, -1] = h[-1], h_prev[-1]
 
 
 def hermite_fn_pair(n: int, y):
     """(h_n(y), h_{n-1}(y)) by upward three-term recurrence.
 
     h_{k+1} = y sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}; h_{-1} = 0.
-    Runs in place, with three rotating buffers, on blocks of _BLOCK points,
-    so no step allocates and a block stays in cache.  Each block of y is
-    clipped at +-1e150 into the block's slot of the output h, which its
-    result overwrites only after the last step: that changes no value (h_n
-    underflows to 0 past |y| = 38.6) and keeps y**2 and every step finite,
-    and y is never written.  Returns two new C-ordered arrays of y's shape
-    (NumPy scalars for a scalar y), bit for bit those of the formula
-    evaluated one new array per operation.
+    Runs ``_recurrence`` in place, with three rotating buffers, on blocks
+    of _BLOCK points, so no step allocates and a block stays in cache.
+    Each block of y is clipped at +-1e150 into the block's slot of the
+    output h, which its result overwrites only after the last step: that
+    changes no value (h_n underflows to 0 past |y| = 38.6) and keeps y**2
+    and every step finite, and y is never written.  Returns two new
+    C-ordered arrays of y's shape (NumPy scalars for a scalar y), bit for
+    bit those of the formula evaluated one new array per operation.
     """
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
     y = np.asarray(y, dtype=float)
     flat = y.reshape(-1)  # a copy only when y is not C-ordered
-    h, h_prev = np.empty((2, flat.size))
-    bufs = np.empty((3, min(flat.size, _BLOCK)))
+    pair = np.empty((2, 1, flat.size))
+    bufs = np.empty((3, 1, min(flat.size, _BLOCK)))
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        part = np.clip(flat[block], -1e150, 1e150, out=h[block])
-        h[block], h_prev[block] = _recurrence(n, part, bufs[:, :part.size])
-    return h.reshape(y.shape)[()], h_prev.reshape(y.shape)[()]
+        part = np.clip(flat[block], -1e150, 1e150, out=pair[0, :, block])
+        _recurrence(n, part, bufs[..., :part.shape[1]], pair[..., block])
+    h, h_prev = pair.reshape(2, *y.shape)
+    return h[()], h_prev[()]
 
 
 def weight_coefficient(params: ModelParams, level: EnergyLevel | None = None) -> float:
@@ -175,16 +183,44 @@ def psi_prime(level: EnergyLevel, params: ModelParams, x):
     return scale * a * (math.sqrt(2.0 * level.n) * hn1 - y * hn)
 
 
-def density(level: EnergyLevel, params: ModelParams, x):
+def density(level, params: ModelParams, x):
     """Modified probability density rho_n(x) = psi**2 * f(x).
 
     Non-negative for gamma <= 0 and underflows cleanly to zero far out.
     Where f overflows psi is 0, and f is capped at the largest float, so
-    rho is 0 there rather than nan.
+    rho is 0 there rather than nan.  Takes one level, or a non-empty
+    sequence of consecutive levels of one coupling, and then returns one
+    row of rho per level, from one Hermite pass (``_recurrence``) over all
+    of them: bit for bit the values each level gives alone.  A level that
+    ``_amplitude`` refuses fails the call, before the pass.
     """
-    p = psi(level, params, x)
-    f = np.asarray(weight(params, x, level))
-    return p * p * np.clip(f, -_FLOAT_MAX, _FLOAT_MAX, out=f)
+    if isinstance(level, EnergyLevel):
+        p = psi(level, params, x)
+        f = np.asarray(weight(params, x, level))
+        return p * p * np.clip(f, -_FLOAT_MAX, _FLOAT_MAX, out=f)
+    levels = list(level)
+    ns = [lv.n for lv in levels]
+    if not ns or ns != list(range(ns[0], ns[0] + len(ns))):
+        raise ValueError("density needs one level or consecutive levels "
+                         "of one coupling")
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    # one row per level: sqrt(lam), sqrt(lam)/b and g as columns, and then
+    # the steps of psi and weight for each level, in the same order
+    a, ratio, g = np.array([(*_amplitude(lv, params),
+                             weight_coefficient(params, lv))
+                            for lv in levels]).T[..., None]
+    y = a * flat
+    np.clip(y, -1e150, 1e150, out=y)
+    out = np.empty((2, *y.shape))
+    _recurrence(ns[0], y, np.empty((3, *y.shape)), out)
+    rho = out[0]
+    rho *= np.sqrt(ratio)
+    rho *= rho
+    with np.errstate(over="ignore"):
+        f = 1.0 - g * flat * flat
+    rho *= np.clip(f, -_FLOAT_MAX, _FLOAT_MAX, out=f)
+    return rho.reshape(len(levels), *x.shape)
 
 
 def density_gradient_sq_terms(level: EnergyLevel, params: ModelParams, x):

@@ -336,6 +336,69 @@ class TestShannonSweep:
             {"hermite_fn_pair": 7, "_hermite_zeros": 7, "integrate": 21}]
 
 
+class TestDensitySweep:
+    def sweep(self, argv, gammas, out):
+        assert main(["density", *argv, "--gamma=" + ",".join(gammas),
+                     "--out", str(out)]) == 0
+        return data_lines(out / "density.csv")
+
+    def test_couplings_together_write_each_alone(self, tmp_path, capsys):
+        # n = 679, 680 take one call for both levels; past the order limit,
+        # and for gamma = -1e130, where sqrt(lam)/b is 0 and the call
+        # raises, each level is taken alone and keeps its error text
+        argv = ["--n-min", "679", "--n-max", "682"]
+        together = self.sweep(argv, ["-0.5", "-1e130"], tmp_path / "all")
+        alone = [self.sweep(argv, [gamma], tmp_path / gamma)
+                 for gamma in ("-0.5", "-1e130")]
+        assert together == alone[0] + alone[1]
+        assert len(together) == 8 * 241
+        assert sum(line.endswith(b",") for line in together) == 2 * 241
+        assert sum(b',,"DomainError: n=681 is past' in line
+                   for line in together) == 2 * 241
+        assert sum(b',,"DomainError: sqrt(lam)/b = 0 ' in line
+                   for line in together) == 2 * 241
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("grid, calls", [
+        # 4096 // 241 = 16 levels per call
+        ((), [16, 16, 16, 13] * 2),
+        # 4096 // 2000 = 2 levels per call, and level 60 alone
+        (tuple(np.linspace(-6.0, 6.0, 2000)), ([2] * 30 + [None]) * 2),
+        # more than 2048 points: each level alone
+        (tuple(np.linspace(-6.0, 6.0, 2049)), [None] * 122),
+    ], ids=["default-grid", "2000-points", "2049-points"])
+    def test_levels_take_one_call_per_block(self, grid, calls, tmp_path,
+                                            monkeypatch):
+        # the length of each call's level sequence, None for a level alone
+        seen = []
+
+        def recording(level, params, x):
+            seen.append(None if hasattr(level, "n") else len(level))
+            return density(level, params, x)
+
+        monkeypatch.setattr(edho.cli, "density", recording)
+        spec = SweepSpec(gamma_list=(-0.5, -0.05), n_max=60, x_grid=grid,
+                         outputs=("density",), out_dir=str(tmp_path))
+        run_sweep(spec)
+        assert seen == calls
+
+    def test_memory_is_bounded(self, tmp_path):
+        # 2 couplings x 681 levels x 241 points: a call holds one block of
+        # about 4096 values, and the table one block of rows.  The
+        # tracemalloc peak is 0.22 MB (CPython 3.11, NumPy 2.4, x86-64);
+        # one call for all levels of a coupling takes 8.1 MB, and one call
+        # per level 0.10 MB
+        spec = SweepSpec(gamma_list=(-0.5, -0.05), n_max=680,
+                         outputs=("density",), out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5e6
+
+
 # (argv, output, key columns after nu and gamma, number of error rows,
 #  whether a row must fail)
 ERROR_SWEEPS = {
@@ -635,6 +698,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
         assert not (tmp_path / f"{command}.csv").exists()
+
+    def test_overflowing_grid_span_is_usage_error(self, tmp_path, capsys):
+        # both ends are finite, but stop - start overflows: refused before
+        # linspace, which would warn and fill the grid with inf and nan
+        with pytest.raises(SystemExit) as exc:
+            main(["perey", "--gamma=-0.5", "--x-grid=-1e308:1e308:3",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "grid span stop - start overflows" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "perey.csv").exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "validate"])
     def test_huge_level_range_is_usage_error(self, command, tmp_path, capsys):
@@ -977,6 +1052,9 @@ CELL_SWEEPS = {
     # blank saturation_limit at gamma = 0; 4,101 levels fill 16 chunks of
     # rows and part of a 17th
     "spectrum": dict(gamma_list=(0.0, -0.5), n_max=4100),
+    # the largest levels: %d prints the level column as %.17g does
+    "spectrum-top": dict(gamma_list=(-0.5,), n_min=2**52 - 3,
+                         n_max=2**52 - 1),
     # nu = 2, gamma = 0.1 fails from n = 3 on: the whole-axis cell is
     # retried per level, which mixes good rows and error rows
     "spectrum-retry": dict(nu=2, gamma_list=(0.1, -0.5), permissive=True,
@@ -990,6 +1068,8 @@ CELL_SWEEPS = {
     "cramer_rao": dict(nu=2, gamma_list=(-0.5, 0.1), permissive=True,
                        n_max=3),
     "shannon": dict(gamma_list=(-0.5,), n_max=2),
+    # every level raises CELL_FAULTS' error
+    "shannon-fault": dict(gamma_list=(-0.5, -0.1), n_max=2),
     # the levels past n = 680 are error rows, one per x
     "density": dict(gamma_list=(-0.5,), n_min=679, n_max=682,
                     x_grid=(-2.0, -0.5, 0.0, 1.0, 2.0)),
@@ -999,9 +1079,24 @@ CELL_SWEEPS = {
 }
 
 
+# case -> (a function of edho.cli made to raise at every call, its error
+# text); the text holds a comma and a quote, which csv.writer quotes, and %,
+# which the writer must write as it is, not read as a %-template's slot
+CELL_FAULTS = {
+    "shannon-fault": ("shannon_entropy", '100% of "rho", %s and %d %%'),
+}
+
+
 @pytest.mark.parametrize("case", sorted(CELL_SWEEPS))
-def test_cell_writer_matches_csv_writer(case, tmp_path):
+def test_cell_writer_matches_csv_writer(case, tmp_path, monkeypatch):
     name = case.split("-")[0]
+    if case in CELL_FAULTS:
+        function, text = CELL_FAULTS[case]
+
+        def raising(*args):
+            raise ValueError(text)
+
+        monkeypatch.setattr(edho.cli, function, raising)
     spec = SweepSpec(outputs=(name,), out_dir=str(tmp_path),
                      **CELL_SWEEPS[case])
     keys, columns, _, whole = edho.cli._OUTPUTS[name]
@@ -1028,6 +1123,9 @@ def test_cell_writer_matches_csv_writer(case, tmp_path):
         assert b",," in text  # a blank value column
     if case == "fisher":
         assert b",nan," in text
+    if case in CELL_FAULTS:
+        assert text.count(b',"ValueError: 100% of ""rho"", %s and %d %%"\r\n'
+                          ) == 6
     if case.endswith("retry") or case in ("perey", "density"):
         rows = read_rows(tmp_path / f"{name}.csv")
         assert {bool(r["error"]) for r in rows} == {False, True}

@@ -255,6 +255,36 @@ class TestDensity:
                 assert np.array_equal(rho[x != 0], np.zeros(6))
                 assert rho[3] == density(level, params, 0.0)
 
+    @pytest.mark.parametrize("mode", list(DensityMode))
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("levels, x", [
+        (range(0, 20), np.linspace(-6.0, 6.0, 241)),
+        # a grid longer than the density command's blocks of 4096 values
+        (range(37, 45), np.linspace(-9.0, 9.0, 5001)),
+        (range(660, 681), np.array([-DBL_MAX, -1e160, -40.0, 0.0, 1.5,
+                                    38.0, 3e154, np.inf])),
+        (range(3, 4), np.array(0.75)),  # one level at a scalar x
+    ], ids=["n0-20", "long-grid", "order-limit", "scalar"])
+    def test_levels_batch_equals_each_level(self, levels, x, nu, mode):
+        # one Hermite pass over consecutive levels, with n_min > 0 and
+        # up to the order limit; each row is the level's own array, bit
+        # for bit, and no warning is raised
+        params = ModelParams(gamma=-0.5, nu=nu, density_mode=mode)
+        each = [eigenvalue(params, n) for n in levels]
+        rows = density(each, params, x)
+        assert rows.shape == (len(each), *np.shape(x))
+        for level, row in zip(each, rows):
+            assert np.array_equal(row, density(level, params, x))
+
+    def test_levels_batch_refuses_what_a_level_refuses(self):
+        params = ModelParams(gamma=-0.5)
+        each = [eigenvalue(params, n) for n in range(678, 682)]
+        with pytest.raises(DomainError, match="n=681 is past"):
+            density(each, params, np.linspace(-1.0, 1.0, 5))
+        for bad in ([], each[:1] + each[2:], each[::-1]):
+            with pytest.raises(ValueError, match="consecutive levels"):
+                density(bad, params, 0.0)
+
     def test_parity(self):
         params = ModelParams(gamma=-0.5, nu=1)
         x = np.linspace(0, 6, 61)
