@@ -10,6 +10,7 @@ if any assertion-grade invariant fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import json
 import numbers
@@ -27,7 +28,7 @@ from .information import (_I_N_MAX_N, cramer_rao, fisher_closed,
                           fisher_numeric, moments, shannon_entropy)
 from .quadrature import gaussian_window, integrate
 from .spectrum import (_N_SAT_MAX, DensityMode, ModelParams, _energies,
-                       eigenvalue, residual, saturation_limit)
+                       _levels, eigenvalue, residual, saturation_limit)
 from .thermo import _HEAD, specific_heat_curve
 from .wavefunction import (_PSI_MAX_N, density, perey_factor, psi, weight,
                            weight_coefficient)
@@ -227,21 +228,26 @@ def _thermo(spec, params, betas, table):
     return [*zip(*[(pt.Z, pt.U, pt.Cv) for pt in curve]), curve[0].N_used]
 
 
-def _fisher(spec, params, n, table):
-    level = eigenvalue(params, n)
-    # the truncated closed form reads nan where it leaves its regime at
-    # strong coupling; the exact value fails the row where f vanishes (g > 0)
-    try:
-        closed = fisher_closed(level, params)
-    except DomainError:
-        closed = math.nan
-    numeric = fisher_numeric(level, params)
+# fisher and cramer_rao make each level as they reach it and keep 8 bytes
+# per level and value: a range holds up to 10**6 levels
+def _fisher(spec, params, levels, table):
+    closed, numeric = np.empty((2, len(levels)))
+    for i, level in enumerate(_levels(params, levels)):
+        # the truncated closed form reads nan where it leaves its regime at
+        # strong coupling; the exact value fails where f vanishes (g > 0)
+        try:
+            closed[i] = fisher_closed(level, params)
+        except DomainError:
+            closed[i] = math.nan
+        numeric[i] = fisher_numeric(level, params)
     return [closed, numeric, numeric]
 
 
-def _cramer_rao(spec, params, n, table):
-    level = eigenvalue(params, n)
-    fisher, variance = fisher_numeric(level, params), moments(level, params)
+def _cramer_rao(spec, params, levels, table):
+    fisher, variance = np.empty((2, len(levels)))
+    for i, level in enumerate(_levels(params, levels)):
+        fisher[i], variance[i] = (fisher_numeric(level, params),
+                                  moments(level, params))
     return [fisher, variance, fisher * variance]
 
 
@@ -295,9 +301,9 @@ _OUTPUTS = {
                  True),
     "thermo": (("beta",), ("Z", "U", "Cv", "N_used"), _thermo, True),
     "fisher": (("n",), ("fisher_closed", "fisher_numeric", "fisher"), _fisher,
-               False),
+               True),
     "cramer_rao": (("n",), ("fisher", "variance", "product"), _cramer_rao,
-                   False),
+                   True),
     "shannon": (("n",), ("shannon",), _shannon, False),
     "density": (("n", "x"), ("rho",), _density, False),
     "perey": (("x",), ("perey",), _perey, True),
@@ -372,6 +378,36 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
     return written
 
 
+def _gated_moments(levels, params):
+    """Yield the norm and <x^2> of each level: the 2L columns, rho and
+    x^2 rho per level, of one integral over u in [-1, 1], where level i
+    takes x = W_i u on its own window W_i.  Where that integral raises,
+    each level takes its own, so the levels below a failing one are gated."""
+    if not levels:
+        return
+    windows = np.array([[gaussian_window(lv.lam, lv.n)] for lv in levels])
+    # one density call for the consecutive levels, one for a top level past
+    cut = len(levels) - (levels[-1].n - levels[0].n != len(levels) - 1)
+
+    def integrand(u):
+        x = windows * u
+        rho = density(levels[:cut], params, x[:cut])
+        if cut < len(levels):
+            rho = np.vstack([rho, density(levels[cut:], params, x[cut:])])
+        rho *= windows  # dx = W_i du
+        return np.concatenate([rho, rho * x * x]).T
+
+    try:
+        values, _ = integrate(integrand, 1.0, 1e-11)
+    except (DomainError, NonConvergence):
+        if len(levels) == 1:
+            raise
+        for level in levels:
+            yield from _gated_moments([level], params)
+        return
+    yield from zip(values[:len(levels)], values[len(levels):])
+
+
 def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
     """Oracle suite over the sweep grid; (report lines, all-gates-passed)."""
     # each gate, and the non-gating orthogonality report, -> [largest error,
@@ -422,12 +458,8 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
                                    * weight(params, x, ln)),
                         window, 1e-10)
                     found.append(("orthogonality", abs(val), 1))
-            for level in levels:
-                # the norm and <x^2> as the two columns of one integral
-                (norm, x2_quad), _ = integrate(
-                    lambda x: density(level, params, x)[:, None]
-                    * np.stack([np.ones_like(x), x * x], axis=1),
-                    gaussian_window(level.lam, level.n), 1e-11)
+            for level, (norm, x2_quad) in zip(levels,
+                                              _gated_moments(levels, params)):
                 found.append(("normalization", abs(norm - 1.0), 1))
                 x2_closed = moments(level, params)
                 # in Python floats, where inf / inf is nan without a warning
@@ -510,6 +542,8 @@ def _config_flags(path: str, parser) -> list[str]:
     return flags
 
 
+# built by the first main call, not at import; a build takes 0.19-0.28 ms
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # unset flags stay out of the namespace, so SweepSpec's defaults apply
     parser = argparse.ArgumentParser(

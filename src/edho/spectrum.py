@@ -128,6 +128,13 @@ def eigenvalue(params: ModelParams, n: int) -> EnergyLevel:
     return EnergyLevel(n=n, energy=energy, lam=lam)
 
 
+def _levels(params: ModelParams, ns):
+    """The ``eigenvalue`` level of each quantum number of ns, bit for bit,
+    made one at a time from one ``_energies`` call, which raises at once."""
+    return (EnergyLevel(n=n, energy=energy, lam=energy / (n + 0.5))
+            for n, energy in zip(ns, map(float, _energies(params, ns))))
+
+
 def saturation_limit(params: ModelParams) -> float:
     """Accumulation point of the spectrum: 1/|gamma| (nu=1) or 1/sqrt|gamma| (nu=2)."""
     if params.gamma >= 0:

@@ -92,13 +92,20 @@ def weight_coefficient(params: ModelParams, level: EnergyLevel | None = None) ->
     return 0.5 * params.gamma
 
 
+def _weight(g, x: np.ndarray) -> np.ndarray:
+    """f = 1 - g*x**2 as a new array, for g, or a column of g, against x:
+    exactly 1 where g = 0, also at x = +-inf (0 inf = nan); past
+    |x| ~ sqrt(DBL_MAX / |g|), g x**2 overflows and f is +-inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(1.0 - g * x * x)
+    np.copyto(f, 1.0, where=np.equal(g, 0.0))
+    return f
+
+
 def weight(params: ModelParams, x, level: EnergyLevel | None = None):
     """Density weight f(x) = 1 - g*x**2 (>= 1 everywhere for gamma <= 0)."""
-    g = weight_coefficient(params, level)
-    x = np.asarray(x, dtype=float)
-    # past |x| ~ sqrt(DBL_MAX / |g|), g x**2 overflows and f is +-inf
-    with np.errstate(over="ignore"):
-        return 1.0 - g * x * x
+    return _weight(weight_coefficient(params, level),
+                   np.asarray(x, dtype=float))[()]
 
 
 def perey_factor(params: ModelParams, x):
@@ -112,7 +119,8 @@ def perey_factor(params: ModelParams, x):
     if np.any(f < 0):
         raise DomainError("weight went negative (gamma > 0 regime)")
     root_g = math.sqrt(abs(weight_coefficient(params)))
-    with np.errstate(over="ignore"):
+    # far is nan at g = 0, x = +-inf, where f is 1 and not inf
+    with np.errstate(over="ignore", invalid="ignore"):
         far = np.hypot(1.0, root_g * np.asarray(x))
         return np.where(np.isinf(f), far, np.sqrt(f))[()]
 
@@ -191,8 +199,9 @@ def density(level, params: ModelParams, x):
     rho is 0 there rather than nan.  Takes one level, or a non-empty
     sequence of consecutive levels of one coupling, and then returns one
     row of rho per level, from one Hermite pass (``_recurrence``) over all
-    of them: bit for bit the values each level gives alone.  A level that
-    ``_amplitude`` refuses fails the call, before the pass.
+    of them: bit for bit the values each level gives alone.  The levels
+    share x, or, for a 2-D x of one row per level, each takes its own row.
+    A level that ``_amplitude`` refuses fails the call, before the pass.
     """
     if isinstance(level, EnergyLevel):
         p = psi(level, params, x)
@@ -204,23 +213,22 @@ def density(level, params: ModelParams, x):
         raise ValueError("density needs one level or consecutive levels "
                          "of one coupling")
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
+    rows = x if x.ndim == 2 else x.reshape(-1)
     # one row per level: sqrt(lam), sqrt(lam)/b and g as columns, and then
     # the steps of psi and weight for each level, in the same order
     a, ratio, g = np.array([(*_amplitude(lv, params),
                              weight_coefficient(params, lv))
                             for lv in levels]).T[..., None]
-    y = a * flat
+    y = a * rows
     np.clip(y, -1e150, 1e150, out=y)
     out = np.empty((2, *y.shape))
     _recurrence(ns[0], y, np.empty((3, *y.shape)), out)
     rho = out[0]
     rho *= np.sqrt(ratio)
     rho *= rho
-    with np.errstate(over="ignore"):
-        f = 1.0 - g * flat * flat
+    f = _weight(g, rows)
     rho *= np.clip(f, -_FLOAT_MAX, _FLOAT_MAX, out=f)
-    return rho.reshape(len(levels), *x.shape)
+    return rho if x.ndim == 2 else rho.reshape(len(levels), *x.shape)
 
 
 def density_gradient_sq_terms(level: EnergyLevel, params: ModelParams, x):

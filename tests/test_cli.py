@@ -13,9 +13,10 @@ import edho.cli
 from edho.cli import (SweepSpec, _write_csv, main, run_sweep,
                       run_validation)
 from edho.errors import DomainError, NonConvergence
-from edho.information import cramer_rao, moments
+from edho.information import (cramer_rao, fisher_closed, fisher_numeric,
+                              moments)
 from edho.quadrature import integrate
-from edho.spectrum import _energies, eigenvalue, residual
+from edho.spectrum import _energies, _levels, eigenvalue, residual
 from edho.thermo import specific_heat_curve
 from edho.wavefunction import density, psi, weight_coefficient
 
@@ -129,6 +130,78 @@ class TestRunSweep:
             if not r["error"]:
                 assert float(r["product"]) == \
                     float(r["fisher"]) * float(r["variance"])
+
+    @pytest.mark.parametrize("mode", ["paper", "nu-consistent"])
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_fisher_rows_are_those_of_each_level(self, nu, mode, tmp_path,
+                                                 monkeypatch):
+        # a coupling's levels are one cell, from one _levels call, and
+        # each row holds the values of the level eigenvalue gives, bit for
+        # bit (%.17g reads back exactly); one call of each per level
+        cells, calls = [], []
+
+        def counting(params, ns):
+            cells.append((params.gamma, ns))
+            return _levels(params, ns)
+
+        def scalar(params, n):
+            raise AssertionError(f"scalar eigenvalue called at n={n}")
+
+        def counted(name):
+            original = getattr(edho.cli, name)
+
+            def call(level, params):
+                calls.append(name)
+                return original(level, params)
+            monkeypatch.setattr(edho.cli, name, call)
+
+        monkeypatch.setattr(edho.cli, "_levels", counting)
+        monkeypatch.setattr(edho.cli, "eigenvalue", scalar)
+        for name in ("fisher_closed", "fisher_numeric", "moments"):
+            counted(name)
+        gammas = (0.0, -0.5, -1e-3)
+        spec = SweepSpec(nu=nu, density_mode=mode, gamma_list=gammas,
+                         n_min=5, n_max=40, outputs=("fisher", "cramer_rao"),
+                         out_dir=str(tmp_path))
+        written = run_sweep(spec)
+        assert cells == [(g, range(5, 41)) for g in gammas] * 2
+        # 3 couplings x 36 levels, in fisher and then in cramer_rao
+        assert calls == (["fisher_closed", "fisher_numeric"] * 108
+                         + ["fisher_numeric", "moments"] * 108)
+        fisher = read_rows(written["fisher"])
+        product = read_rows(written["cramer_rao"])
+        assert len(fisher) == len(product) == 3 * 36
+        for row, cr in zip(fisher, product):
+            params = spec.params(float(row["gamma"]))
+            level = eigenvalue(params, int(row["n"]))
+            try:
+                closed = fisher_closed(level, params)
+            except DomainError:
+                closed = math.nan
+            numeric, variance = (fisher_numeric(level, params),
+                                 moments(level, params))
+            assert [row[k] for k in ("fisher_closed", "fisher_numeric",
+                                     "fisher", "error")] == [
+                _fmt(closed), _fmt(numeric), _fmt(numeric), ""]
+            assert [cr[k] for k in ("fisher", "variance", "product",
+                                    "error")] == [
+                _fmt(numeric), _fmt(variance), _fmt(numeric * variance), ""]
+
+    def test_fisher_memory_is_bounded(self, tmp_path):
+        # 5,000 levels in one cell per output: a float per level and value,
+        # and each level made as it is reached.  The tracemalloc peak is
+        # 0.33 MB (CPython 3.11, NumPy 2.4, x86-64); holding a list of
+        # EnergyLevels and Python floats for the cell took 1.47 MB
+        spec = SweepSpec(gamma_list=(0.0,), n_max=4_999,
+                         outputs=("fisher", "cramer_rao"),
+                         out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.8e6
 
     def test_thermo_csv(self, tmp_path):
         spec = SweepSpec(gamma_list=(-1e-5,), n_max=5, eps_sat=0.5,
@@ -1016,10 +1089,9 @@ class TestMainEntry:
         assert lines[-1].startswith("REPORT orthogonality(modified product): "
                                     "max_overlap=")
 
-    def test_validate_takes_one_integral_per_level(self, monkeypatch):
+    def test_validate_takes_one_integral_per_coupling(self, monkeypatch):
         # n_max = 12: the 9 overlaps among levels 0..6, then one integral
-        # for each of the 13 gated levels, whose columns are the norm and
-        # <x^2>
+        # whose 26 columns are the norm and <x^2> of the 13 gated levels
         shapes = []
 
         def counting(integrand, window, rel_tol):
@@ -1030,7 +1102,37 @@ class TestMainEntry:
         monkeypatch.setattr(edho.cli, "integrate", counting)
         lines, ok = run_validation(SweepSpec(gamma_list=(-0.5,), n_max=12))
         assert ok
-        assert shapes == [()] * 9 + [(2,)] * 13
+        assert shapes == [()] * 9 + [(26,)]
+
+    def test_validate_gates_the_levels_below_a_refused_one(self,
+                                                            monkeypatch):
+        # the integral of levels 670..682 and 690 raises at n = 681, past
+        # the order limit; each level then takes its own integral, so that
+        # 670..680 are still gated, as they were one integral per level
+        gated, shapes = [], []
+
+        def recording(level, params):
+            gated.append(level.n)
+            return moments(level, params)
+
+        def counting(integrand, window, rel_tol):
+            shapes.append(None)
+            value, err = integrate(integrand, window, rel_tol)
+            shapes[-1] = np.shape(value)
+            return value, err
+
+        monkeypatch.setattr(edho.cli, "moments", recording)
+        monkeypatch.setattr(edho.cli, "integrate", counting)
+        lines, ok = run_validation(SweepSpec(gamma_list=(-0.5,), n_min=670,
+                                             n_max=690))
+        assert not ok
+        assert lines[0].startswith("CHECK domain: FAILED gamma=-0.5: n=681 "
+                                   "is past n=680")
+        assert gated == list(range(670, 681))
+        # the 9 overlaps, the failed integral, then one per level up to 681
+        assert shapes == [()] * 9 + [None] + [(2,)] * 11 + [None]
+        assert next(line for line in lines if "normalization" in line
+                    ).endswith("tol=1e-12 PASS")
 
     @pytest.mark.parametrize("argv", [
         ["--gamma=0.01", "--permissive", "--n-max", "3"],  # gamma > 0
@@ -1067,6 +1169,14 @@ CELL_SWEEPS = {
     "fisher-error": dict(nu=2, gamma_list=(0.1,), permissive=True, n_max=4),
     "cramer_rao": dict(nu=2, gamma_list=(-0.5, 0.1), permissive=True,
                        n_max=3),
+    # n = 100001 is past the largest order of I_n: the whole-axis cell is
+    # retried per level, which mixes good rows and error rows.  At
+    # gamma = -1e-300 a level that far up takes milliseconds; at gamma = 0,
+    # where I_n = 1, no level fails
+    "fisher-retry": dict(gamma_list=(-1e-300,), n_min=99_999,
+                         n_max=100_001),
+    "cramer_rao-retry": dict(gamma_list=(-1e-300, 0.0), n_min=99_999,
+                             n_max=100_001),
     "shannon": dict(gamma_list=(-0.5,), n_max=2),
     # every level raises CELL_FAULTS' error
     "shannon-fault": dict(gamma_list=(-0.5, -0.1), n_max=2),

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 import edho.spectrum
 from edho import (DomainError, ModelParams, NonPositiveEnergy, NotReached,
                   eigenvalue, residual, saturation_index, saturation_limit)
-from edho.spectrum import _energies
+from edho.spectrum import _energies, _levels
 
 
 def test_textbook_limit_exact():
@@ -196,9 +196,11 @@ def test_parameter_validation():
     # nu = 2, gamma = 0.1 has no real root from n = 3 on
     (lambda params: eigenvalue(params, 3), 2, 0.1, 3),
     (lambda params: _energies(params, range(5)), 2, 0.1, 3),
+    # before any level is made
+    (lambda params: _levels(params, range(5)), 2, 0.1, 3),
 ], ids=["eigenvalue", "_energies", "saturation_index", "_energies-nu1-1e150",
         "_energies-nu1-1e300", "_energies-nu2-1e300", "eigenvalue-nu2-no-root",
-        "_energies-nu2-no-root"])
+        "_energies-nu2-no-root", "_levels-nu2-no-root"])
 def test_unrepresentable_energy_raises(call, nu, gamma, n):
     # the formula overflows, so the retained root reads E = 0, or it takes
     # the square root of a negative number and reads nan; neither leaks a
@@ -207,6 +209,21 @@ def test_unrepresentable_energy_raises(call, nu, gamma, n):
     energy = "nan" if gamma > 0 else r"0\.0"
     with pytest.raises(NonPositiveEnergy, match=rf"E={energy} at n={n},"):
         call(params)
+
+
+@pytest.mark.parametrize("nu, gamma, ns", [
+    (1, 0.0, range(0, 50)),
+    (1, -0.5, range(7, 70)),
+    (1, -1e150, range(13_300, 13_408)),
+    (2, -1e-5, range(990, 1010)),
+    (2, -1e300, range(6_600, 6_704)),
+    (1, -0.5, range(2**52 - 5, 2**52)),
+    (2, 0.1, range(3)),
+])
+def test_levels_are_those_of_eigenvalue(nu, gamma, ns):
+    # one array pass over the range, bit for bit the scalar levels
+    params = ModelParams(gamma=gamma, nu=nu, permissive=gamma > 0)
+    assert list(_levels(params, ns)) == [eigenvalue(params, n) for n in ns]
 
 
 def test_large_n_no_cancellation():

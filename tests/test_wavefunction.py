@@ -276,6 +276,39 @@ class TestDensity:
         for level, row in zip(each, rows):
             assert np.array_equal(row, density(level, params, x))
 
+    @pytest.mark.parametrize("mode", list(DensityMode))
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_levels_batch_takes_one_x_row_per_level(self, nu, mode):
+        # level i at x = W_i u on its own window W_i, as validate's gates
+        # take them: each row is the level's own array at its own x row
+        params = ModelParams(gamma=-0.5, nu=nu, density_mode=mode)
+        each = [eigenvalue(params, n) for n in range(7, 20)]
+        u = np.linspace(-1.0, 1.0, 257)
+        x = np.array([[gaussian_window(lv.lam, lv.n)] for lv in each]) * u
+        rows = density(each, params, x)
+        assert rows.shape == x.shape
+        for level, xs, row in zip(each, x, rows):
+            assert np.array_equal(row, density(level, params, xs))
+
+    @pytest.mark.parametrize("mode", list(DensityMode))
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_zero_coupling_at_infinity(self, nu, mode):
+        # g = 0: f is exactly 1 also at x = +-inf, where g x**2 would read
+        # 0 inf = nan, and rho is 0 there, in the one-level path and in the
+        # batch, without a warning
+        params = ModelParams(gamma=0.0, nu=nu, density_mode=mode)
+        x = np.array([-np.inf, -1e200, 0.0, 2.5, np.inf])
+        each = [eigenvalue(params, n) for n in range(4)]
+        assert np.array_equal(weight(params, x, each[1]), np.ones(5))
+        assert weight(params, np.inf) == 1.0
+        assert np.array_equal(perey_factor(params, x), np.ones(5))
+        rows = density(each, params, x)
+        for level, row in zip(each, rows):
+            alone = density(level, params, x)
+            assert np.array_equal(row, alone)
+            assert np.array_equal(alone[[0, 1, 4]], np.zeros(3))
+            assert alone[2] == density(level, params, 0.0)
+
     def test_levels_batch_refuses_what_a_level_refuses(self):
         params = ModelParams(gamma=-0.5)
         each = [eigenvalue(params, n) for n in range(678, 682)]
