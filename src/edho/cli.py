@@ -372,9 +372,9 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
         "per_output": per_output,
         "wall_time_s": time.perf_counter() - t0,
     }
-    with (out_dir / "manifest.json").open("w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    # json.dumps without indent takes the C encoder; json.dump never does
     written["manifest"] = out_dir / "manifest.json"
+    written["manifest"].write_text(json.dumps(manifest, sort_keys=True))
     return written
 
 
@@ -386,14 +386,10 @@ def _gated_moments(levels, params):
     if not levels:
         return
     windows = np.array([[gaussian_window(lv.lam, lv.n)] for lv in levels])
-    # one density call for the consecutive levels, one for a top level past
-    cut = len(levels) - (levels[-1].n - levels[0].n != len(levels) - 1)
 
     def integrand(u):
         x = windows * u
-        rho = density(levels[:cut], params, x[:cut])
-        if cut < len(levels):
-            rho = np.vstack([rho, density(levels[cut:], params, x[cut:])])
+        rho = density(levels, params, x)  # one Hermite pass for all levels
         rho *= windows  # dx = W_i du
         return np.concatenate([rho, rho * x * x]).T
 

@@ -6,9 +6,10 @@ recurrence (``_i_n``, no quadrature), ``fisher_closed`` truncates its
 series, well within 1% for |gamma| <= 0.1.  The Shannon entropy has no
 closed form and is integrated, in y = sqrt(lam) x, where the coupling
 enters the density only through three numbers per level: sqrt(lam), the
-brace b and c = -g/lam.  The zeros of H_n, the quadrature nodes and h_n(y)
-are those of the ordinary oscillator, so a level's zeros and its Hermite
-pass on each quadrature grid serve every coupling of a sweep.
+brace b and c = -g/lam.  Here, as for Fisher and <x**2>, they come from
+``wavefunction._coupling``.  The zeros of H_n, the quadrature nodes and
+h_n(y) are those of the ordinary oscillator, so a level's zeros and its
+Hermite pass on each quadrature grid serve every coupling of a sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .quadrature import gaussian_window, integrate, tanh_sinh
 from .spectrum import EnergyLevel, ModelParams
 # unused here: bench/tracing.py wraps density_gradient_sq_terms at this site
 from .wavefunction import (density, density_gradient_sq_terms,
-                           weight_coefficient, _amplitude, _brace)
+                           weight_coefficient, _amplitude, _coupling)
 
 _ENTROPY_REL_TOL = 1e-10
 _RHO_FLOOR = 1e-300  # rho ln rho is 0 at and below it (0 ln 0 = 0)
@@ -38,21 +39,21 @@ _TANH_SINH_T = 3.0
 _I_N_MAX_N = 10**5
 
 
-def _fisher(level: EnergyLevel, params: ModelParams, i_n: float) -> float:
+def _fisher(level: EnergyLevel, g: float, b: float, i_n: float) -> float:
     """F = [4 lam (n+1/2) - g(2n**2+2n+3) + 4 g I_n] / b, exact given
     I_n = integral of h_n(y)**2 / (1 + c y**2) dy, where y = sqrt(lam) x,
-    c = -g/lam and b = 1 + c(n+1/2) is the normalization brace."""
-    n, g = level.n, weight_coefficient(params, level)
+    and (g, c, b) are the level's ``_coupling``."""
+    n = level.n
     return (4.0 * level.lam * (n + 0.5) - g * (2.0 * n * n + 2.0 * n + 3.0)
-            + 4.0 * g * i_n) / _brace(level, params)
+            + 4.0 * g * i_n) / b
 
 
 def fisher_closed(level: EnergyLevel, params: ModelParams) -> float:
     """The Fisher identity with I_n from the series of 1/(1 + c y**2) to
     second order in c.  Reduces to 2(2n+1) at gamma = 0."""
-    n, c = level.n, -weight_coefficient(params, level) / level.lam
+    n, (g, c, b) = level.n, _coupling(level, params)
     i_n = 1.0 - c * (n + 0.5) + 0.75 * c * c * (2.0 * n * n + 2.0 * n + 1.0)
-    value = _fisher(level, params, i_n)
+    value = _fisher(level, g, b, i_n)
     if value <= 0:
         raise DomainError("closed-form Fisher non-positive: invalid regime")
     return value
@@ -111,10 +112,9 @@ def fisher_numeric(level: EnergyLevel, params: ModelParams) -> float:
     if g > 0:
         raise DomainError(f"weight vanishes at |x| = {1.0 / math.sqrt(g):g}, "
                           "where the Fisher integrand diverges")
-    c = -g / level.lam
-    _brace(level, params)  # DomainError where c or b overflows, before _i_n
+    _, c, b = _coupling(level, params)  # refuses before _i_n runs
     # c = 0 at gamma = 0, or where -g/lam underflows: f = 1 and I_n = 1
-    return _fisher(level, params, _i_n(level.n, c) if c else 1.0)
+    return _fisher(level, g, b, _i_n(level.n, c) if c else 1.0)
 
 
 def moments(level: EnergyLevel, params: ModelParams) -> float:
@@ -124,10 +124,9 @@ def moments(level: EnergyLevel, params: ModelParams) -> float:
     [(n+1/2) + 3/4 c (2n**2+2n+1)] / (lam b) with c = -g/lam, divided
     through by b, so that no term overflows where b is finite.
     """
-    n, lam = level.n, level.lam
-    c, b = -weight_coefficient(params, level) / lam, _brace(level, params)
+    n, (_, c, b) = level.n, _coupling(level, params)
     return ((n + 0.5) / b
-            + 0.75 * (2.0 * n * n + 2.0 * n + 1.0) * (c / b)) / lam
+            + 0.75 * (2.0 * n * n + 2.0 * n + 1.0) * (c / b)) / level.lam
 
 
 def cramer_rao(level: EnergyLevel, params: ModelParams) -> float:
@@ -177,7 +176,7 @@ def shannon_entropy(level, params):
     exponentially.  The zeros, and on each tau grid the nodes and
     h_n(y)**2, serve every coupling.  Each coupling is its own integral,
     so its value is bit for bit the one its level gives alone.  A coupling
-    that ``_amplitude`` refuses (past the order limit, a brace ``_brace``
+    that ``_amplitude`` refuses (past the order limit, where ``_coupling``
     refuses, a subnormal sqrt(lam)/b) fails the call, before the zeros.
     """
     single = isinstance(level, EnergyLevel)
@@ -186,14 +185,11 @@ def shannon_entropy(level, params):
         raise ValueError("shannon_entropy needs levels of one order, "
                          "one params per level")
     n = levels[0].n
-    # (sqrt(lam), s, c) per coupling; _amplitude refuses an order past
+    # (g, c, sqrt(lam), s) per coupling; _amplitude refuses an order past
     # the limit before the zeros' n x n eigenproblem.  Wherever it passes,
     # c y**2 came to at most 3e265 (nu 1 and 2, both modes, |gamma| up to
     # 1e308), so 1 + c y**2 does not overflow
-    couplings = []
-    for lv, p in zip(levels, each):
-        a, s = _amplitude(lv, p)
-        couplings.append((a, s, -weight_coefficient(p, lv) / lv.lam))
+    couplings = [_amplitude(lv, p) for lv, p in zip(levels, each)]
     # the middle zero of an odd order comes out as about +2e-16, not 0,
     # so slice by count rather than filter by sign
     cuts = np.concatenate(([0.0], _hermite_zeros(n)[(n + 1) // 2:],
@@ -201,7 +197,7 @@ def shannon_entropy(level, params):
     lo, width = cuts[:-1], np.diff(cuts)
     grids = {}  # tau grid -> y**2, weights and h_n(y)**2 at its nodes
 
-    def integrand(a, s, c, tau):
+    def integrand(g, c, a, s, tau):
         key = tau.tobytes()
         if key not in grids:
             y, weights = tanh_sinh(tau[:, None], lo, width)

@@ -2,9 +2,11 @@
 
 The norm carries the weight f(x) = 1 - g*x**2 (g from the density mode),
 so the normalization constant differs from the textbook oscillator by the
-brace factor 1 - g(2n+1)/(2 lam).  All Hermite evaluations go through the
+brace factor b = 1 - g(2n+1)/(2 lam); every kernel reads g, c = -g/lam
+and b from ``_coupling`` alone.  All Hermite evaluations go through the
 normalized functions h_n(y) = H_n(y) exp(-y^2/2) / sqrt(2^n n! sqrt(pi)),
-which stay O(1) and never overflow.
+which stay O(1) and never overflow, from one driver, ``_hermite``, which
+steps one row of points per order, for ascending orders, at once.
 """
 
 from __future__ import annotations
@@ -30,15 +32,15 @@ _BLOCK = 2 ** 15
 _FLOAT_MAX, _FLOAT_TINY = np.finfo(float).max, np.finfo(float).tiny
 
 
-def _recurrence(n: int, y: np.ndarray, bufs: np.ndarray, out: np.ndarray):
-    """h_{n+i}(y[i]) and h_{n+i-1}(y[i]) into out[0, i] and out[1, i], for
-    each row i of a 2-D y.
+def _recurrence(ns, y: np.ndarray, bufs: np.ndarray, out: np.ndarray):
+    """h_{ns[i]}(y[i]) and h_{ns[i]-1}(y[i]) into out[0, i] and out[1, i],
+    for each row i of a 2-D y and strictly ascending orders ns.
 
     The three rows of bufs, each of y's shape, rotate, so no step
     allocates; row i leaves the active suffix of rows once it reaches its
-    order n + i, and is written to out then (the last row after the last
-    step).  Each step rounds exactly as y * sqrt(2/(k+1)) * h_k
-    - sqrt(k/(k+1)) * h_{k-1} does.
+    order ns[i], at most one row per step, and is written to out then (the
+    last row after the last step).  Each step rounds exactly as
+    y * sqrt(2/(k+1)) * h_k - sqrt(k/(k+1)) * h_{k-1} does.
     """
     h_prev, h, new = bufs
     h_prev.fill(0.0)
@@ -46,10 +48,12 @@ def _recurrence(n: int, y: np.ndarray, bufs: np.ndarray, out: np.ndarray):
     h *= y
     np.exp(h, out=h)
     h *= math.pi ** -0.25
-    for k in range(n + len(y) - 1):
-        if k >= n:  # the first active row has reached its order k
-            out[0, k - n], out[1, k - n] = h[0], h_prev[0]
+    i = 0  # the first active row
+    for k in range(ns[-1]):
+        if k == ns[i]:  # the first active row has reached its order
+            out[0, i], out[1, i] = h[0], h_prev[0]
             y, h_prev, h, new = y[1:], h_prev[1:], h[1:], new[1:]
+            i += 1
         np.multiply(y, math.sqrt(2.0 / (k + 1)), out=new)
         new *= h
         h_prev *= math.sqrt(k / (k + 1))
@@ -58,30 +62,38 @@ def _recurrence(n: int, y: np.ndarray, bufs: np.ndarray, out: np.ndarray):
     out[0, -1], out[1, -1] = h[-1], h_prev[-1]
 
 
+def _hermite(ns, y: np.ndarray) -> np.ndarray:
+    """(h_{ns[i]}, h_{ns[i]-1}) at row i of the 2-D y as one new (2, *y.shape)
+    array, by ``_recurrence`` over blocks of columns of at most _BLOCK
+    values, with three rotating buffers, so no step allocates and a block
+    stays in cache.  Each block of y is clipped at +-1e150 into the block's
+    slot of the output h, which its result overwrites only after the last
+    step: that changes no value (h_n underflows to 0 past |y| = 38.6) and
+    keeps y**2 and every step finite, and y is never written.
+    """
+    out = np.empty((2, *y.shape))
+    width = max(1, _BLOCK // len(y))
+    bufs = np.empty((3, len(y), min(y.shape[1], width)))
+    for start in range(0, y.shape[1], width):
+        block = slice(start, start + width)
+        part = np.clip(y[:, block], -1e150, 1e150, out=out[0, :, block])
+        _recurrence(ns, part, bufs[..., :part.shape[1]], out[..., block])
+    return out
+
+
 def hermite_fn_pair(n: int, y):
     """(h_n(y), h_{n-1}(y)) by upward three-term recurrence.
 
-    h_{k+1} = y sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}; h_{-1} = 0.
-    Runs ``_recurrence`` in place, with three rotating buffers, on blocks
-    of _BLOCK points, so no step allocates and a block stays in cache.
-    Each block of y is clipped at +-1e150 into the block's slot of the
-    output h, which its result overwrites only after the last step: that
-    changes no value (h_n underflows to 0 past |y| = 38.6) and keeps y**2
-    and every step finite, and y is never written.  Returns two new
+    h_{k+1} = y sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}; h_{-1} = 0,
+    run by ``_hermite``, which clips y at +-1e150.  Returns two new
     C-ordered arrays of y's shape (NumPy scalars for a scalar y), bit for
     bit those of the formula evaluated one new array per operation.
     """
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
     y = np.asarray(y, dtype=float)
-    flat = y.reshape(-1)  # a copy only when y is not C-ordered
-    pair = np.empty((2, 1, flat.size))
-    bufs = np.empty((3, 1, min(flat.size, _BLOCK)))
-    for start in range(0, flat.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        part = np.clip(flat[block], -1e150, 1e150, out=pair[0, :, block])
-        _recurrence(n, part, bufs[..., :part.shape[1]], pair[..., block])
-    h, h_prev = pair.reshape(2, *y.shape)
+    # y.reshape is a copy only when y is not C-ordered
+    h, h_prev = _hermite([n], y.reshape(1, -1)).reshape(2, *y.shape)
     return h[()], h_prev[()]
 
 
@@ -125,70 +137,57 @@ def perey_factor(params: ModelParams, x):
         return np.where(np.isinf(f), far, np.sqrt(f))[()]
 
 
-def _brace(level: EnergyLevel, params: ModelParams) -> float:
-    """b = 1 + c (n + 1/2) with c = -g/lam; DomainError unless b > 0 and b
-    and c are finite (at nu = 2 in the paper density mode, one of them
+def _coupling(level: EnergyLevel, params: ModelParams):
+    """(g, c, b) of a level: the weight coefficient g, c = -g/lam and the
+    normalization brace b = 1 + c (n + 1/2); DomainError unless b > 0 and
+    b and c are finite (at nu = 2 in the paper density mode, one of them
     overflows from |gamma| of about 8e205 at n = 0, 1e199 at n = 1e5)."""
     g = weight_coefficient(params, level)
     b = 1.0 - g * (2 * level.n + 1) / (2.0 * level.lam)
     if b <= 0:
-        raise DomainError(
-            f"normalization brace factor non-positive at n={level.n}, "
-            f"gamma={params.gamma}"
-        )
-    if not max(b, abs(g) / level.lam) < math.inf:
+        raise DomainError(f"normalization brace factor non-positive at "
+                          f"n={level.n}, gamma={params.gamma}")
+    c = -g / level.lam
+    if not max(b, abs(c)) < math.inf:
         raise DomainError(f"c = -g/lam or the normalization brace factor "
                           f"overflows at n={level.n}, gamma={params.gamma}")
-    return b
+    return g, c, b
 
 
-def _check_order(n: int) -> None:
-    """DomainError for an order past _PSI_MAX_N."""
-    if n > _PSI_MAX_N:
-        raise DomainError(f"n={n} is past n={_PSI_MAX_N}, the largest order "
-                          "whose wavefunction stays accurate")
+def _amplitude(level: EnergyLevel, params: ModelParams):
+    """(g, c, sqrt(lam), sqrt(lam)/b): psi**2 = (sqrt(lam)/b) h_n(y)**2.
 
-
-def _amplitude(level: EnergyLevel, params: ModelParams) -> tuple[float, float]:
-    """(sqrt(lam), sqrt(lam)/b): psi**2 = (sqrt(lam)/b) h_n(y)**2.
-
-    A DomainError past _PSI_MAX_N, where ``_brace`` fails, and where
+    A DomainError past _PSI_MAX_N, where ``_coupling`` fails, and where
     sqrt(lam)/b is subnormal, so that the normalization has lost its
     precision (|gamma| from about 3e123 at n = 0 and 2e120 at n = 680 for
     nu = 1, 2.5e176 and 8e171 for nu = 2 in the paper density mode).
     """
-    _check_order(level.n)
+    if level.n > _PSI_MAX_N:
+        raise DomainError(f"n={level.n} is past n={_PSI_MAX_N}, the largest "
+                          "order whose wavefunction stays accurate")
+    g, c, b = _coupling(level, params)
     a = math.sqrt(level.lam)
-    ratio = a / _brace(level, params)
+    ratio = a / b
     if ratio < _FLOAT_TINY:
         raise DomainError(f"sqrt(lam)/b = {ratio:.3g} is below the normal "
                           f"float range at n={level.n}, gamma={params.gamma}")
-    return a, ratio
-
-
-def _scaled(level: EnergyLevel, params: ModelParams, x):
-    """(normalization, sqrt(lam), y = sqrt(lam) x) of psi and psi_prime.
-
-    Past |y| = 38.6 the start exp(-y**2/2) of hermite_fn_pair underflows
-    to 0, and with it h_n of every order; y is clipped at 1e150, which
-    changes no value and keeps psi_prime's y h_n finite.
-    """
-    a, ratio = _amplitude(level, params)
-    y = np.asarray(a * np.asarray(x, dtype=float))  # a new array, even 0-d
-    return math.sqrt(ratio), a, np.clip(y, -1e150, 1e150, out=y)
+    return g, c, a, ratio
 
 
 def psi(level: EnergyLevel, params: ModelParams, x):
     """Normalized eigenfunction value(s) at x; DomainError past _PSI_MAX_N."""
-    scale, _, y = _scaled(level, params, x)
-    return scale * hermite_fn_pair(level.n, y)[0]
+    _, _, a, ratio = _amplitude(level, params)
+    y = a * np.asarray(x, dtype=float)
+    return math.sqrt(ratio) * hermite_fn_pair(level.n, y)[0]
 
 
 def psi_prime(level: EnergyLevel, params: ModelParams, x):
-    """Analytic derivative of ``psi`` with respect to x."""
-    scale, a, y = _scaled(level, params, x)
+    """Analytic derivative of ``psi`` with respect to x; y is clipped at
+    +-1e150, which changes no value and keeps y h_n finite."""
+    _, _, a, ratio = _amplitude(level, params)
+    y = np.clip(a * np.asarray(x, dtype=float), -1e150, 1e150)
     hn, hn1 = hermite_fn_pair(level.n, y)
-    return scale * a * (math.sqrt(2.0 * level.n) * hn1 - y * hn)
+    return math.sqrt(ratio) * a * (math.sqrt(2.0 * level.n) * hn1 - y * hn)
 
 
 def density(level, params: ModelParams, x):
@@ -196,39 +195,34 @@ def density(level, params: ModelParams, x):
 
     Non-negative for gamma <= 0 and underflows cleanly to zero far out.
     Where f overflows psi is 0, and f is capped at the largest float, so
-    rho is 0 there rather than nan.  Takes one level, or a non-empty
-    sequence of consecutive levels of one coupling, and then returns one
-    row of rho per level, from one Hermite pass (``_recurrence``) over all
-    of them: bit for bit the values each level gives alone.  The levels
-    share x, or, for a 2-D x of one row per level, each takes its own row.
-    A level that ``_amplitude`` refuses fails the call, before the pass.
+    rho is 0 there rather than nan.  Takes one level, and returns rho of
+    x's shape, or a non-empty sequence of strictly ascending levels of one
+    coupling, and then returns one row of rho per level.  Either way one
+    Hermite pass (``_hermite``) serves every level, bit for bit the values
+    each level gives alone.  The levels of a sequence share x, or, for a
+    2-D x of one row per level, each takes its own row.  A level that
+    ``_amplitude`` refuses fails the call, before the pass.
     """
-    if isinstance(level, EnergyLevel):
-        p = psi(level, params, x)
-        f = np.asarray(weight(params, x, level))
-        return p * p * np.clip(f, -_FLOAT_MAX, _FLOAT_MAX, out=f)
-    levels = list(level)
+    single = isinstance(level, EnergyLevel)
+    levels = [level] if single else list(level)
     ns = [lv.n for lv in levels]
-    if not ns or ns != list(range(ns[0], ns[0] + len(ns))):
-        raise ValueError("density needs one level or consecutive levels "
-                         "of one coupling")
+    if not ns or any(m >= n for m, n in zip(ns, ns[1:])):
+        raise ValueError("density needs one level or strictly ascending "
+                         "levels of one coupling")
+    # one row per level: g, sqrt(lam) and sqrt(lam)/b as columns
+    g, _, a, ratio = np.array([_amplitude(lv, params)
+                               for lv in levels]).T[..., None]
     x = np.asarray(x, dtype=float)
-    rows = x if x.ndim == 2 else x.reshape(-1)
-    # one row per level: sqrt(lam), sqrt(lam)/b and g as columns, and then
-    # the steps of psi and weight for each level, in the same order
-    a, ratio, g = np.array([(*_amplitude(lv, params),
-                             weight_coefficient(params, lv))
-                            for lv in levels]).T[..., None]
-    y = a * rows
-    np.clip(y, -1e150, 1e150, out=y)
-    out = np.empty((2, *y.shape))
-    _recurrence(ns[0], y, np.empty((3, *y.shape)), out)
-    rho = out[0]
+    own = x.ndim == 2 and not single  # one x row per level
+    rows = x if own else x.reshape(1, -1)
+    # then the steps of psi and weight for each level, in the same order
+    rho = _hermite(ns, a * rows)[0]
     rho *= np.sqrt(ratio)
     rho *= rho
     f = _weight(g, rows)
     rho *= np.clip(f, -_FLOAT_MAX, _FLOAT_MAX, out=f)
-    return rho if x.ndim == 2 else rho.reshape(len(levels), *x.shape)
+    shape = x.shape if single or own else (len(levels), *x.shape)
+    return rho.reshape(shape)[()]
 
 
 def density_gradient_sq_terms(level: EnergyLevel, params: ModelParams, x):

@@ -264,9 +264,12 @@ class TestDensity:
         (range(660, 681), np.array([-DBL_MAX, -1e160, -40.0, 0.0, 1.5,
                                     38.0, 3e154, np.inf])),
         (range(3, 4), np.array(0.75)),  # one level at a scalar x
-    ], ids=["n0-20", "long-grid", "order-limit", "scalar"])
+        # ascending orders with a gap, as validate's gates take them: the
+        # top row is stepped alone past 12
+        ([*range(13), 680], np.array([-DBL_MAX, -40.0, 0.0, 0.75, np.inf])),
+    ], ids=["n0-20", "long-grid", "order-limit", "scalar", "gap"])
     def test_levels_batch_equals_each_level(self, levels, x, nu, mode):
-        # one Hermite pass over consecutive levels, with n_min > 0 and
+        # one Hermite pass over ascending levels, with n_min > 0 and
         # up to the order limit; each row is the level's own array, bit
         # for bit, and no warning is raised
         params = ModelParams(gamma=-0.5, nu=nu, density_mode=mode)
@@ -280,9 +283,10 @@ class TestDensity:
     @pytest.mark.parametrize("nu", [1, 2])
     def test_levels_batch_takes_one_x_row_per_level(self, nu, mode):
         # level i at x = W_i u on its own window W_i, as validate's gates
-        # take them: each row is the level's own array at its own x row
+        # take them, the top level past a gap: each row is the level's own
+        # array at its own x row
         params = ModelParams(gamma=-0.5, nu=nu, density_mode=mode)
-        each = [eigenvalue(params, n) for n in range(7, 20)]
+        each = [eigenvalue(params, n) for n in [*range(7, 20), 680]]
         u = np.linspace(-1.0, 1.0, 257)
         x = np.array([[gaussian_window(lv.lam, lv.n)] for lv in each]) * u
         rows = density(each, params, x)
@@ -314,9 +318,29 @@ class TestDensity:
         each = [eigenvalue(params, n) for n in range(678, 682)]
         with pytest.raises(DomainError, match="n=681 is past"):
             density(each, params, np.linspace(-1.0, 1.0, 5))
-        for bad in ([], each[:1] + each[2:], each[::-1]):
-            with pytest.raises(ValueError, match="consecutive levels"):
+        # orders with a gap pass the order check, and 681 is refused
+        with pytest.raises(DomainError, match="n=681 is past"):
+            density(each[:1] + each[2:], params, 0.0)
+        for bad in ([], each[:1] + each[:1], each[::-1]):
+            with pytest.raises(ValueError, match="strictly ascending levels"):
                 density(bad, params, 0.0)
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(-8.0, 8.0, 60).reshape(4, 15),
+        np.linspace(-9.0, 9.0, _BLOCK + 1001),  # two column blocks
+        np.linspace(-9.0, 9.0, 2 * _BLOCK + 10).reshape(2, -1),
+    ], ids=["2d", "two-blocks", "2d-two-blocks"])
+    def test_one_level_is_psi_squared_times_weight(self, x):
+        # one level is the one-row case of the batch: x keeps its shape,
+        # and rho is bit for bit psi**2 f with f capped at the largest float
+        params = ModelParams(gamma=-0.5, nu=2)
+        for n in (0, 7, 680):
+            level = eigenvalue(params, n)
+            p = psi(level, params, x)
+            f = np.clip(weight(params, x, level), -DBL_MAX, DBL_MAX)
+            rho = density(level, params, x)
+            assert rho.shape == x.shape
+            assert np.array_equal(rho, p * p * f)
 
     def test_parity(self):
         params = ModelParams(gamma=-0.5, nu=1)
