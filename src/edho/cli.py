@@ -30,7 +30,7 @@ from .quadrature import gaussian_window, integrate
 from .spectrum import (_N_SAT_MAX, DensityMode, ModelParams, _energies,
                        _levels, eigenvalue, residual, saturation_limit)
 from .thermo import _HEAD, specific_heat_curve
-from .wavefunction import (_PSI_MAX_N, density, perey_factor, psi, weight,
+from .wavefunction import (_PSI_MAX_N, density, perey_factor, psi,
                            weight_coefficient)
 
 # validate's gates in report order, each with the bound its maximum error
@@ -148,15 +148,13 @@ def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
     """Write the cells' rows; returns their count and that of the error rows.
 
     A cell is (keys, columns, error): the text of the keys all its rows
-    share, then each further column as a sequence of one value per row
-    (strings are written as they are) or as one value all rows share (None
-    is a blank).  Each cell becomes one %-template, which holds the keys,
-    the shared values and the error as text and one slot per sequence:
-    ``%.17g`` prints a number exactly as ``csv.writer`` prints its
-    ``format(value, ".17g")``, and ``%d`` a ``range`` of levels with the
-    same bytes, since integers stay below 2**52 (see SweepSpec).  Only an
-    error text may need quoting; it is quoted once per cell, as csv.writer
-    quotes."""
+    share, then each column as a sequence of one value per row (strings
+    are written as they are) or one value all rows share (None is a
+    blank).  Each cell becomes one %-template of the keys, shared values
+    and error as text and one slot per sequence: ``%.17g`` prints a number
+    as ``csv.writer`` prints ``format(value, ".17g")``, and ``%d`` a
+    ``range`` of levels (below 2**52, see SweepSpec) with the same bytes.
+    Only an error text may need quoting, once per cell, as csv.writer's."""
     counts = {"rows": 0, "error_rows": 0}
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -229,10 +227,18 @@ def _thermo(spec, params, betas, table):
 
 
 # fisher and cramer_rao make each level as they reach it and keep 8 bytes
-# per level and value: a range holds up to 10**6 levels
+# per level and value: a range holds up to 10**6 levels.  A cell of several
+# levels that reaches past _I_N_MAX_N is refused before any _i_n runs (none
+# runs at gamma = 0): _rows retries it one level at a time, each _i_n once
+def _cell_levels(params, levels):
+    if len(levels) > 1 and levels[-1] > _I_N_MAX_N and params.gamma:
+        raise DomainError(f"n={levels[-1]} is past n={_I_N_MAX_N}")
+    return _levels(params, levels)
+
+
 def _fisher(spec, params, levels, table):
     closed, numeric = np.empty((2, len(levels)))
-    for i, level in enumerate(_levels(params, levels)):
+    for i, level in enumerate(_cell_levels(params, levels)):
         # the truncated closed form reads nan where it leaves its regime at
         # strong coupling; the exact value fails where f vanishes (g > 0)
         try:
@@ -245,7 +251,7 @@ def _fisher(spec, params, levels, table):
 
 def _cramer_rao(spec, params, levels, table):
     fisher, variance = np.empty((2, len(levels)))
-    for i, level in enumerate(_levels(params, levels)):
+    for i, level in enumerate(_cell_levels(params, levels)):
         fisher[i], variance[i] = (fisher_numeric(level, params),
                                   moments(level, params))
     return [fisher, variance, fisher * variance]
@@ -255,8 +261,7 @@ def _shannon(spec, params, n, table):
     # the first coupling that reaches level n takes it for every coupling
     # in one call, kept in table; where that call raises, and past the order
     # limit (so the table holds at most 681 levels), each coupling takes the
-    # level alone, so that its row, or its error text, is the one a sweep of
-    # that coupling alone writes
+    # level alone, so that its row or error text is that of its own sweep
     if n <= _PSI_MAX_N and n not in table:
         each = [spec.params(gamma) for gamma in spec.gamma_list]
         try:
@@ -271,11 +276,10 @@ def _shannon(spec, params, n, table):
 
 
 def _density(spec, params, n, table):
-    # the first level of a block of levels that holds about _DENSITY_POINTS
-    # values takes the block in one call, kept in table until each level is
-    # written; where that call raises, past the order limit, and on a grid
-    # of more than half that many points, each level is taken alone, so
-    # that its rows, or its error text, are those of the level alone
+    # the first level of a block of levels of about _DENSITY_POINTS values
+    # takes the block in one call, kept in table until each level is written;
+    # where that call raises, past the order limit, and on a grid of over
+    # half that many points, each level is taken alone, as in its own sweep
     xs = _AXES["x"](spec)
     top = min(n + _DENSITY_POINTS // len(xs), spec.n_max + 1, _PSI_MAX_N + 1)
     if top - n > 1 and n not in table:
@@ -312,13 +316,13 @@ _OUTPUTS = {
 
 def _rows(spec: SweepSpec, name: str):
     """The cells of one output for ``_write_csv``, yielded as they are
-    made.  The cells of a coupling are its whole first axis, or each value
-    of that axis, whose text joins nu and gamma as a key all rows of the
-    cell share; a later axis (density's x, formatted once per sweep) is
-    then a column.  A cell that raises gives one error row per point, with
-    its keys and blank values; a whole-axis cell is first retried one point
-    at a time, so only the points that fail become error rows.  Each call
-    gives its compute a new table, which it drops when the output is done."""
+    made: a coupling's whole first axis, or each value of it, whose text
+    joins nu and gamma as the keys all the cell's rows share; a later axis
+    (density's x, formatted once per sweep) is then a column.  A cell that
+    raises gives one error row per point, with its keys and blank values;
+    a whole-axis cell is first retried one point at a time, so only the
+    points that fail become error rows.  Each call gives its compute a new
+    table, dropped when the output is done."""
     keys, columns, compute, whole = _OUTPUTS[name]
     first, *rest = (_AXES[key](spec) for key in keys)
     rest = [[*map(_FMT, axis)] for axis in rest]
@@ -378,30 +382,37 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
     return written
 
 
-def _gated_moments(levels, params):
-    """Yield the norm and <x^2> of each level: the 2L columns, rho and
-    x^2 rho per level, of one integral over u in [-1, 1], where level i
-    takes x = W_i u on its own window W_i.  Where that integral raises,
-    each level takes its own, so the levels below a failing one are gated."""
+def _gated_integrals(levels, params):
+    """Yield (levels, norms, <x^2>s, overlaps), the columns of one integral
+    over u in [-1, 1] of q_ab = psi_a psi_b f_b x^k: its diagonal at k = 0
+    and 2, and the same-parity pairs a < b of the first seven levels at
+    k = 0.  Level i takes x = W_i u on its Gaussian window W_i, and the
+    first seven the widest of theirs, so that their pairs meet at one x.
+    Where it raises, the levels below the top take one integral and the
+    top its own, so the levels and pairs below a failing one are taken."""
     if not levels:
         return
     windows = np.array([[gaussian_window(lv.lam, lv.n)] for lv in levels])
+    windows[:7] = windows[:7].max()
+    g = np.array([[weight_coefficient(params, lv)] for lv in levels])
+    a, b = np.triu_indices(min(7, len(levels)), 2)
+    a, b = a[(b - a) % 2 == 0], b[(b - a) % 2 == 0]
 
     def integrand(u):
         x = windows * u
-        rho = density(levels, params, x)  # one Hermite pass for all levels
-        rho *= windows  # dx = W_i du
-        return np.concatenate([rho, rho * x * x]).T
+        p = psi(levels, params, x)  # one Hermite pass for all levels
+        pf = p * (1.0 - g * x * x) * windows  # dx = W_i du
+        return np.concatenate([p * pf, p * pf * x * x, p[a] * pf[b]]).T
 
     try:
         values, _ = integrate(integrand, 1.0, 1e-11)
     except (DomainError, NonConvergence):
         if len(levels) == 1:
             raise
-        for level in levels:
-            yield from _gated_moments([level], params)
+        yield from _gated_integrals(levels[:-1], params)
+        yield from _gated_integrals(levels[-1:], params)
         return
-    yield from zip(values[:len(levels)], values[len(levels):])
+    yield levels, *np.split(values, [len(levels), 2 * len(levels)])
 
 
 def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
@@ -439,30 +450,20 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
             found.append(("residual", np.fmax.reduce(err, initial=0.0),
                           np.count_nonzero(~np.isnan(err))))
             # the levels the quadrature gates take, none for gamma > 0: the
-            # first 13 and the top
+            # first 13 and the top; the REPORT pairs the first seven
             levels = [eigenvalue(params, n) for n in
                       [*range(spec.n_min, min(spec.n_min + 13, spec.n_max)),
                        spec.n_max] if gamma <= 0]
-            # non-gating: modified-product overlap of distinct same-parity
-            # levels among n_min..min(n_max, n_min + 6), the first seven
-            # gated ones, which are consecutive
-            for i, lm in enumerate(levels[:7]):
-                for ln in levels[i + 2:7:2]:
-                    window = gaussian_window(min(lm.lam, ln.lam), ln.n)
-                    val, _ = integrate(
-                        lambda x: (psi(lm, params, x) * psi(ln, params, x)
-                                   * weight(params, x, ln)),
-                        window, 1e-10)
-                    found.append(("orthogonality", abs(val), 1))
-            for level, (norm, x2_quad) in zip(levels,
-                                              _gated_moments(levels, params)):
-                found.append(("normalization", abs(norm - 1.0), 1))
-                x2_closed = moments(level, params)
-                # in Python floats, where inf / inf is nan without a warning
-                err = abs(float(x2_quad) - x2_closed) / max(1.0, x2_closed)
-                found.append(("moment_closed_form", err, 1))
-                found.append(("cramer_rao_bound",
-                              1.0 - cramer_rao(level, params), 1))
+            for part, norms, x2s, overlaps in _gated_integrals(levels, params):
+                found += [("orthogonality", abs(q), 1) for q in overlaps]
+                for level, norm, x2_quad in zip(part, norms, x2s):
+                    found.append(("normalization", abs(norm - 1.0), 1))
+                    x2_closed = moments(level, params)
+                    # Python floats: inf / inf is nan without a warning
+                    err = abs(float(x2_quad) - x2_closed) / max(1.0, x2_closed)
+                    found.append(("moment_closed_form", err, 1))
+                    found.append(("cramer_rao_bound",
+                                  1.0 - cramer_rao(level, params), 1))
         except (DomainError, NonConvergence) as exc:
             check = "domain" if isinstance(exc, DomainError) else "convergence"
             lines.append(f"CHECK {check}: FAILED gamma={gamma:g}: {exc}")

@@ -174,11 +174,32 @@ def _amplitude(level: EnergyLevel, params: ModelParams):
     return g, c, a, ratio
 
 
-def psi(level: EnergyLevel, params: ModelParams, x):
-    """Normalized eigenfunction value(s) at x; DomainError past _PSI_MAX_N."""
-    _, _, a, ratio = _amplitude(level, params)
-    y = a * np.asarray(x, dtype=float)
-    return math.sqrt(ratio) * hermite_fn_pair(level.n, y)[0]
+def _psi(level, params: ModelParams, x):
+    """(psi rows, column of g, x rows, shape of the result) of ``psi``."""
+    single = isinstance(level, EnergyLevel)
+    levels = [level] if single else list(level)
+    ns = [lv.n for lv in levels]
+    if not ns or any(m >= n for m, n in zip(ns, ns[1:])):
+        raise ValueError("psi and density need one level or strictly "
+                         "ascending levels of one coupling")
+    # one row per level: g, sqrt(lam) and sqrt(lam)/b as columns
+    g, _, a, ratio = np.array([_amplitude(lv, params)
+                               for lv in levels]).T[..., None]
+    x = np.asarray(x, dtype=float)
+    own = x.ndim == 2 and not single  # one x row per level
+    rows = x if own else x.reshape(1, -1)
+    p = _hermite(ns, a * rows)[0]
+    p *= np.sqrt(ratio)
+    return p, g, rows, x.shape if single or own else (len(levels), *x.shape)
+
+
+def psi(level, params: ModelParams, x):
+    """Normalized eigenfunction at x: of x's shape for one level, and one
+    row per level for strictly ascending levels of one coupling, which
+    share x or take one row each of a 2-D x, from one Hermite pass, bit for
+    bit each level's own; a level ``_amplitude`` refuses fails it first."""
+    p, _, _, shape = _psi(level, params, x)
+    return p.reshape(shape)[()]
 
 
 def psi_prime(level: EnergyLevel, params: ModelParams, x):
@@ -191,37 +212,14 @@ def psi_prime(level: EnergyLevel, params: ModelParams, x):
 
 
 def density(level, params: ModelParams, x):
-    """Modified probability density rho_n(x) = psi**2 * f(x).
-
-    Non-negative for gamma <= 0 and underflows cleanly to zero far out.
-    Where f overflows psi is 0, and f is capped at the largest float, so
-    rho is 0 there rather than nan.  Takes one level, and returns rho of
-    x's shape, or a non-empty sequence of strictly ascending levels of one
-    coupling, and then returns one row of rho per level.  Either way one
-    Hermite pass (``_hermite``) serves every level, bit for bit the values
-    each level gives alone.  The levels of a sequence share x, or, for a
-    2-D x of one row per level, each takes its own row.  A level that
-    ``_amplitude`` refuses fails the call, before the pass.
-    """
-    single = isinstance(level, EnergyLevel)
-    levels = [level] if single else list(level)
-    ns = [lv.n for lv in levels]
-    if not ns or any(m >= n for m, n in zip(ns, ns[1:])):
-        raise ValueError("density needs one level or strictly ascending "
-                         "levels of one coupling")
-    # one row per level: g, sqrt(lam) and sqrt(lam)/b as columns
-    g, _, a, ratio = np.array([_amplitude(lv, params)
-                               for lv in levels]).T[..., None]
-    x = np.asarray(x, dtype=float)
-    own = x.ndim == 2 and not single  # one x row per level
-    rows = x if own else x.reshape(1, -1)
-    # then the steps of psi and weight for each level, in the same order
-    rho = _hermite(ns, a * rows)[0]
-    rho *= np.sqrt(ratio)
+    """Modified probability density rho_n(x) = psi**2 * f(x), for the
+    levels and x that ``psi`` takes, from its one Hermite pass; >= 0 for
+    gamma <= 0.  Where f overflows psi is 0, and f is capped at the
+    largest float, so rho is 0 there rather than nan."""
+    rho, g, rows, shape = _psi(level, params, x)
     rho *= rho
     f = _weight(g, rows)
     rho *= np.clip(f, -_FLOAT_MAX, _FLOAT_MAX, out=f)
-    shape = x.shape if single or own else (len(levels), *x.shape)
     return rho.reshape(shape)[()]
 
 

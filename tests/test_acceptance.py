@@ -118,7 +118,8 @@ def test_criterion_7_shannon_reference():
     t0 = time.perf_counter()
     params = ModelParams(gamma=0.0)
     value = shannon_entropy(eigenvalue(params, 0), params)
-    ok = abs(value - 0.5 * (1 + math.log(math.pi))) < 1e-6
+    exact = 0.5 * (1 + math.log(math.pi))
+    ok = abs(value - exact) < 1e-12 * exact
     report(7, f"Shannon entropy Gaussian reference ({value:.8f})", ok,
            time.perf_counter() - t0, 1.0)
 

@@ -15,10 +15,10 @@ from edho.cli import (SweepSpec, _write_csv, main, run_sweep,
 from edho.errors import DomainError, NonConvergence
 from edho.information import (cramer_rao, fisher_closed, fisher_numeric,
                               moments)
-from edho.quadrature import integrate
+from edho.quadrature import gaussian_window, integrate
 from edho.spectrum import _energies, _levels, eigenvalue, residual
 from edho.thermo import specific_heat_curve
-from edho.wavefunction import density, psi, weight_coefficient
+from edho.wavefunction import density, psi, weight, weight_coefficient
 
 
 FLAG = re.compile(r"--[a-z][a-z-]*")
@@ -186,6 +186,36 @@ class TestRunSweep:
             assert [cr[k] for k in ("fisher", "variance", "product",
                                     "error")] == [
                 _fmt(numeric), _fmt(variance), _fmt(numeric * variance), ""]
+
+    def test_level_past_i_n_limit_runs_each_i_n_once(self, tmp_path,
+                                                     monkeypatch):
+        # a cell of several levels whose last lies past _I_N_MAX_N = 1e5 is
+        # refused before any level runs, and each level is then taken
+        # alone: each level's _i_n runs once (at gamma = -1e-300 a call is
+        # about 1e5 cheap steps), and the rows are those each level writes
+        # in a sweep of its own
+        calls = []
+
+        def counting(n, c):
+            calls.append(n)
+            return i_n(n, c)
+
+        i_n = edho.information._i_n
+        monkeypatch.setattr(edho.information, "_i_n", counting)
+        for output in ("fisher", "cramer_rao"):
+            calls.clear()
+            spec = dict(gamma_list=(-1e-300,), outputs=(output,))
+            run_sweep(SweepSpec(n_min=99_999, n_max=100_001,
+                                out_dir=str(tmp_path / "all"), **spec))
+            assert calls == [99_999, 100_000, 100_001]
+            alone = []
+            for n in range(99_999, 100_002):
+                run_sweep(SweepSpec(n_min=n, n_max=n,
+                                    out_dir=str(tmp_path / str(n)), **spec))
+                alone += data_lines(tmp_path / str(n) / f"{output}.csv")
+            lines = data_lines(tmp_path / "all" / f"{output}.csv")
+            assert lines == alone
+            assert b'"DomainError: n=100001 is past n=100000, ' in lines[2]
 
     def test_fisher_memory_is_bounded(self, tmp_path):
         # 5,000 levels in one cell per output: a float per level and value,
@@ -1075,23 +1105,47 @@ class TestMainEntry:
         assert lines[0] == "CHECK residual: max_err=4.000e+00 tol=1e-10 FAILED"
 
     def test_validate_overlap_report_takes_range_start(self, monkeypatch):
-        reported = set()
+        # the REPORT's overlaps are columns of the gates' one integral; the
+        # oracle is one integral per same-parity pair among levels 20..26,
+        # the first seven of the range, of psi psi f on the pair's window
+        # (at nu = 2 these overlaps are about 1e-2, so the wrong levels
+        # would show)
+        yielded = []
 
-        def recording(level, params, x):
-            reported.add(level.n)
-            return psi(level, params, x)
+        def recording(levels, params):
+            for item in gated(levels, params):
+                yielded.append(item)
+                yield item
 
-        monkeypatch.setattr(edho.cli, "psi", recording)
-        lines, ok = run_validation(SweepSpec(gamma_list=(-0.5,), n_min=20,
-                                             n_max=30))
-        assert ok
-        assert reported == set(range(20, 27))
-        assert lines[-1].startswith("REPORT orthogonality(modified product): "
-                                    "max_overlap=")
+        gated = edho.cli._gated_integrals
+        monkeypatch.setattr(edho.cli, "_gated_integrals", recording)
+        for nu, mode in ((1, "paper"), (2, "paper"), (2, "nu-consistent")):
+            yielded.clear()
+            spec = SweepSpec(gamma_list=(-0.5,), nu=nu, density_mode=mode,
+                             n_min=20, n_max=30)
+            params = spec.params(-0.5)
+            levels = [eigenvalue(params, n) for n in range(20, 27)]
+            oracle = []
+            for i, lm in enumerate(levels):
+                for ln in levels[i + 2::2]:
+                    value, _ = integrate(
+                        lambda x: (psi(lm, params, x) * psi(ln, params, x)
+                                   * weight(params, x, ln)),
+                        gaussian_window(min(lm.lam, ln.lam), ln.n), 1e-10)
+                    oracle.append(value)
+            lines, ok = run_validation(spec)
+            assert ok
+            (part, _, _, overlaps), = yielded
+            assert [lv.n for lv in part] == list(range(20, 31))
+            assert len(overlaps) == 9
+            assert np.all(abs(overlaps - oracle) < 1e-14)
+            assert lines[-1] == ("REPORT orthogonality(modified product): "
+                                 f"max_overlap={max(abs(overlaps)):.3e}")
+            assert abs(max(abs(overlaps)) - max(map(abs, oracle))) < 1e-14
 
     def test_validate_takes_one_integral_per_coupling(self, monkeypatch):
-        # n_max = 12: the 9 overlaps among levels 0..6, then one integral
-        # whose 26 columns are the norm and <x^2> of the 13 gated levels
+        # n_max = 12: one integral whose 26 + 9 columns are the norm and
+        # <x^2> of the 13 gated levels and the 9 overlaps among levels 0..6
         shapes = []
 
         def counting(integrand, window, rel_tol):
@@ -1102,13 +1156,14 @@ class TestMainEntry:
         monkeypatch.setattr(edho.cli, "integrate", counting)
         lines, ok = run_validation(SweepSpec(gamma_list=(-0.5,), n_max=12))
         assert ok
-        assert shapes == [()] * 9 + [(26,)]
+        assert shapes == [(26 + 9,)]
 
     def test_validate_gates_the_levels_below_a_refused_one(self,
                                                             monkeypatch):
         # the integral of levels 670..682 and 690 raises at n = 681, past
-        # the order limit; each level then takes its own integral, so that
-        # 670..680 are still gated, as they were one integral per level
+        # the order limit; the levels below the top then take one integral
+        # and the top its own, so that 670..680 are still gated, with the
+        # overlaps among 670..676, as they were one integral per level
         gated, shapes = [], []
 
         def recording(level, params):
@@ -1129,10 +1184,13 @@ class TestMainEntry:
         assert lines[0].startswith("CHECK domain: FAILED gamma=-0.5: n=681 "
                                    "is past n=680")
         assert gated == list(range(670, 681))
-        # the 9 overlaps, the failed integral, then one per level up to 681
-        assert shapes == [()] * 9 + [None] + [(2,)] * 11 + [None]
+        # 670..682 and 690, 670..682 and 670..681 raise; 670..680 gives its
+        # 22 + 9 columns, and 681 alone raises
+        assert shapes == [None, None, None, (22 + 9,), None]
         assert next(line for line in lines if "normalization" in line
                     ).endswith("tol=1e-12 PASS")
+        assert lines[-1].startswith("REPORT orthogonality(modified product): "
+                                    "max_overlap=")
 
     @pytest.mark.parametrize("argv", [
         ["--gamma=0.01", "--permissive", "--n-max", "3"],  # gamma > 0

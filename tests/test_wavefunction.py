@@ -48,6 +48,21 @@ _SHAPES = {
 }
 
 
+# the level batches that psi and density take, each with its x
+_BATCHES = {
+    "n0-20": (range(0, 20), np.linspace(-6.0, 6.0, 241)),
+    # a grid longer than the density command's blocks of 4096 values
+    "long-grid": (range(37, 45), np.linspace(-9.0, 9.0, 5001)),
+    "order-limit": (range(660, 681), np.array([-DBL_MAX, -1e160, -40.0, 0.0,
+                                               1.5, 38.0, 3e154, np.inf])),
+    "scalar": (range(3, 4), np.array(0.75)),  # one level at a scalar x
+    # ascending orders with a gap, as validate's gates take them: the top
+    # row is stepped alone past 12
+    "gap": ([*range(13), 680], np.array([-DBL_MAX, -40.0, 0.0, 0.75,
+                                         np.inf])),
+}
+
+
 class TestHermite:
     def test_reference_values(self):
         assert hermite_fn_pair(0, 0.0)[0] == pytest.approx(math.pi ** -0.25,
@@ -257,31 +272,27 @@ class TestDensity:
 
     @pytest.mark.parametrize("mode", list(DensityMode))
     @pytest.mark.parametrize("nu", [1, 2])
-    @pytest.mark.parametrize("levels, x", [
-        (range(0, 20), np.linspace(-6.0, 6.0, 241)),
-        # a grid longer than the density command's blocks of 4096 values
-        (range(37, 45), np.linspace(-9.0, 9.0, 5001)),
-        (range(660, 681), np.array([-DBL_MAX, -1e160, -40.0, 0.0, 1.5,
-                                    38.0, 3e154, np.inf])),
-        (range(3, 4), np.array(0.75)),  # one level at a scalar x
-        # ascending orders with a gap, as validate's gates take them: the
-        # top row is stepped alone past 12
-        ([*range(13), 680], np.array([-DBL_MAX, -40.0, 0.0, 0.75, np.inf])),
-    ], ids=["n0-20", "long-grid", "order-limit", "scalar", "gap"])
-    def test_levels_batch_equals_each_level(self, levels, x, nu, mode):
+    @pytest.mark.parametrize("kernel, levels, x", [
+        pytest.param(kernel, *case, id=name + suffix)
+        for kernel, suffix in ((density, ""), (psi, "-psi"))
+        for name, case in _BATCHES.items()])
+    def test_levels_batch_equals_each_level(self, kernel, levels, x, nu,
+                                            mode):
         # one Hermite pass over ascending levels, with n_min > 0 and
         # up to the order limit; each row is the level's own array, bit
         # for bit, and no warning is raised
         params = ModelParams(gamma=-0.5, nu=nu, density_mode=mode)
         each = [eigenvalue(params, n) for n in levels]
-        rows = density(each, params, x)
+        rows = kernel(each, params, x)
         assert rows.shape == (len(each), *np.shape(x))
         for level, row in zip(each, rows):
-            assert np.array_equal(row, density(level, params, x))
+            assert np.array_equal(row, kernel(level, params, x))
 
+    @pytest.mark.parametrize("kernel", [density, psi],
+                             ids=["density", "psi"])
     @pytest.mark.parametrize("mode", list(DensityMode))
     @pytest.mark.parametrize("nu", [1, 2])
-    def test_levels_batch_takes_one_x_row_per_level(self, nu, mode):
+    def test_levels_batch_takes_one_x_row_per_level(self, nu, mode, kernel):
         # level i at x = W_i u on its own window W_i, as validate's gates
         # take them, the top level past a gap: each row is the level's own
         # array at its own x row
@@ -289,10 +300,10 @@ class TestDensity:
         each = [eigenvalue(params, n) for n in [*range(7, 20), 680]]
         u = np.linspace(-1.0, 1.0, 257)
         x = np.array([[gaussian_window(lv.lam, lv.n)] for lv in each]) * u
-        rows = density(each, params, x)
+        rows = kernel(each, params, x)
         assert rows.shape == x.shape
         for level, xs, row in zip(each, x, rows):
-            assert np.array_equal(row, density(level, params, xs))
+            assert np.array_equal(row, kernel(level, params, xs))
 
     @pytest.mark.parametrize("mode", list(DensityMode))
     @pytest.mark.parametrize("nu", [1, 2])
@@ -316,14 +327,16 @@ class TestDensity:
     def test_levels_batch_refuses_what_a_level_refuses(self):
         params = ModelParams(gamma=-0.5)
         each = [eigenvalue(params, n) for n in range(678, 682)]
-        with pytest.raises(DomainError, match="n=681 is past"):
-            density(each, params, np.linspace(-1.0, 1.0, 5))
-        # orders with a gap pass the order check, and 681 is refused
-        with pytest.raises(DomainError, match="n=681 is past"):
-            density(each[:1] + each[2:], params, 0.0)
-        for bad in ([], each[:1] + each[:1], each[::-1]):
-            with pytest.raises(ValueError, match="strictly ascending levels"):
-                density(bad, params, 0.0)
+        for kernel in (density, psi):  # the batch form both share
+            with pytest.raises(DomainError, match="n=681 is past"):
+                kernel(each, params, np.linspace(-1.0, 1.0, 5))
+            # orders with a gap pass the order check, and 681 is refused
+            with pytest.raises(DomainError, match="n=681 is past"):
+                kernel(each[:1] + each[2:], params, 0.0)
+            for bad in ([], each[:1] + each[:1], each[::-1]):
+                with pytest.raises(ValueError,
+                                   match="strictly ascending levels"):
+                    kernel(bad, params, 0.0)
 
     @pytest.mark.parametrize("x", [
         np.linspace(-8.0, 8.0, 60).reshape(4, 15),
