@@ -16,8 +16,8 @@ import json
 import numbers
 import sys
 import time
-from dataclasses import dataclass
-from itertools import repeat, starmap
+from dataclasses import dataclass, replace
+from itertools import starmap
 from pathlib import Path, PurePath
 
 import numpy as np
@@ -38,9 +38,12 @@ from .wavefunction import (_PSI_MAX_N, density, perey_factor, psi,
 # the moment's to max(1, <x^2>), which grows like 1/lam at strong coupling).
 # Over gamma in {0, -1e-5, -0.05, -0.1, -0.5, -1, -2, -1e6}, nu in {1, 2},
 # both density modes and n = 0..680, the worst normalization error was
-# 3.2e-14 and the worst moment error 4.9e-14, both at nu = 2, n = 680
+# 3.2e-14 and the worst moment error 4.9e-14, both at nu = 2, n = 680.  The
+# worst overlap under the pair weight was 1.7e-13, at nu = 2, gamma = -1e-5,
+# n = 600..612
 _GATES = {"residual": 1e-10, "normalization": 1e-12,
-          "moment_closed_form": 1e-12, "cramer_rao_bound": 1e-10}
+          "moment_closed_form": 1e-12, "cramer_rao_bound": 1e-10,
+          "orthogonality": 1e-12}
 # the values SweepSpec and the command line accept for density_mode
 _DENSITY_MODES = tuple(mode.value for mode in DensityMode)
 _MAX_GRID_COUNT = 10**6
@@ -194,7 +197,7 @@ _DEFAULT_BETAS = tuple(np.linspace(0.1, 10.0, 50))
 _DEFAULT_XS = tuple(np.linspace(-6.0, 6.0, 241))
 # values per density call, whose Hermite pass over a block of levels holds
 # six arrays of the block's size: a sweep of 681 levels of 241 points
-# peaked at 0.22 MB under tracemalloc, 8.1 MB with one call per coupling
+# peaked at 0.25 MB under tracemalloc, 8.1 MB with one call per coupling
 _DENSITY_POINTS = 2 ** 12
 
 # each key column after nu and gamma -> its values over one coupling
@@ -205,13 +208,12 @@ _AXES = {
 }
 
 
-# Each compute maps (spec, params, cell, table) to its value columns over
-# the cell: one sequence of values per point, or one value every point
-# shares; a cell is either a whole first axis or one value of it.  table is
-# a dict that lives for one output of one sweep, where a compute may keep
-# what it made for every coupling at once.  The values reach eigenvalue,
-# fisher_numeric, ... as module globals at call time, so anything that
-# rebinds those names here sees every call.
+# Each compute maps (spec, params, block, table) to its value columns over
+# the block, a slice of the first axis: one sequence of values per point,
+# or one value every point shares.  table is a dict that lives for one
+# output of one sweep, where a compute may keep what it made for every
+# coupling at once.  The values reach eigenvalue, fisher_numeric, ... as
+# module globals at call time, so anything that rebinds them sees every call.
 
 def _spectrum(spec, params, levels, table):
     energies = _energies(params, levels)
@@ -257,7 +259,8 @@ def _cramer_rao(spec, params, levels, table):
     return [fisher, variance, fisher * variance]
 
 
-def _shannon(spec, params, n, table):
+def _shannon(spec, params, levels, table):
+    (n,) = levels
     # the first coupling that reaches level n takes it for every coupling
     # in one call, kept in table; where that call raises, and past the order
     # limit (so the table holds at most 681 levels), each coupling takes the
@@ -275,78 +278,69 @@ def _shannon(spec, params, n, table):
     return [values[params.gamma]]
 
 
-def _density(spec, params, n, table):
-    # the first level of a block of levels of about _DENSITY_POINTS values
-    # takes the block in one call, kept in table until each level is written;
-    # where that call raises, past the order limit, and on a grid of over
-    # half that many points, each level is taken alone, as in its own sweep
-    xs = _AXES["x"](spec)
-    top = min(n + _DENSITY_POINTS // len(xs), spec.n_max + 1, _PSI_MAX_N + 1)
-    if top - n > 1 and n not in table:
-        try:
-            rows = density([eigenvalue(params, m) for m in range(n, top)],
-                           params, np.asarray(xs))
-        except Exception:
-            rows = repeat(None)
-        table.update(zip(range(n, top), rows))
-    rho = table.pop(n, None)
-    return [density(eigenvalue(params, n), params, np.asarray(xs))
-            if rho is None else rho]
+def _density(spec, params, levels, table):
+    return [density([eigenvalue(params, n) for n in levels], params,
+                    np.asarray(_AXES["x"](spec)))]
 
 
 def _perey(spec, params, xs, table):
     return [perey_factor(params, np.asarray(xs))]
 
 
-# output -> (key columns, value columns, compute, whether the compute takes
-# the whole first axis in one call rather than one of its values)
+# output -> (key columns, value columns, compute, values per compute call:
+# None for the whole first axis in one call)
 _OUTPUTS = {
     "spectrum": (("n",), ("energy", "lambda", "saturation_limit"), _spectrum,
-                 True),
-    "thermo": (("beta",), ("Z", "U", "Cv", "N_used"), _thermo, True),
+                 None),
+    "thermo": (("beta",), ("Z", "U", "Cv", "N_used"), _thermo, None),
     "fisher": (("n",), ("fisher_closed", "fisher_numeric", "fisher"), _fisher,
-               True),
+               None),
     "cramer_rao": (("n",), ("fisher", "variance", "product"), _cramer_rao,
-                   True),
-    "shannon": (("n",), ("shannon",), _shannon, False),
-    "density": (("n", "x"), ("rho",), _density, False),
-    "perey": (("x",), ("perey",), _perey, True),
+                   None),
+    "shannon": (("n",), ("shannon",), _shannon, 1),
+    "density": (("n", "x"), ("rho",), _density, _DENSITY_POINTS),
+    "perey": (("x",), ("perey",), _perey, None),
 }
 
 
 def _rows(spec: SweepSpec, name: str):
     """The cells of one output for ``_write_csv``, yielded as they are
-    made: a coupling's whole first axis, or each value of it, whose text
-    joins nu and gamma as the keys all the cell's rows share; a later axis
-    (density's x, formatted once per sweep) is then a column.  A cell that
-    raises gives one error row per point, with its keys and blank values;
-    a whole-axis cell is first retried one point at a time, so only the
-    points that fail become error rows.  Each call gives its compute a new
-    table, dropped when the output is done."""
-    keys, columns, compute, whole = _OUTPUTS[name]
+    made.  A compute call takes one block of a coupling's first axis: all
+    of it, or as many points as keep the call within the output's bound
+    of values.  A block that raises is retried one point at a time, so only
+    the points that fail become error rows, with blank values.  Without a
+    later axis a block is one cell, whose rows share nu and gamma as keys;
+    with one (density's x, formatted once per sweep) each point is a cell
+    keyed by it too, and the later axis is a column.  Each call gives its
+    compute a new table, dropped when the output is done."""
+    keys, columns, compute, bound = _OUTPUTS[name]
     first, *rest = (_AXES[key](spec) for key in keys)
     rest = [[*map(_FMT, axis)] for axis in rest]
+    size = len(first) if bound is None else max(
+        1, bound // math.prod(map(len, rest)))
     table = {}
 
-    def cells(gamma, lead, cell):
+    def cells(gamma, lead, block):
         try:
-            values, error = compute(spec, spec.params(gamma), cell,
+            values, error = compute(spec, spec.params(gamma), block,
                                     table), ""
         except Exception as exc:
             values = [None] * len(columns)
             error = f"{type(exc).__name__}: {exc}"
-        if error and whole and len(cell) > 1:
-            for i in range(len(cell)):
-                yield from cells(gamma, lead, cell[i:i + 1])
-        elif whole:
-            yield lead, [cell, *values], error
+        if error and len(block) > 1:
+            for i in range(len(block)):
+                yield from cells(gamma, lead, block[i:i + 1])
+        elif not rest:
+            yield lead, [block, *values], error
         else:
-            yield (*lead, _FMT(cell)), rest + values, error
+            for i, point in enumerate(block):
+                yield ((*lead, _FMT(point)),
+                       rest + [None if error else v[i] for v in values], error)
 
     for gamma in spec.gamma_list:
         lead = (_FMT(spec.nu), _FMT(gamma))
-        for cell in [first] if whole else first:
-            yield from cells(gamma, lead, cell)
+        for start in range(0, len(first), size):
+            yield from cells(gamma, lead, first[start:start + size])
 
 
 def run_sweep(spec: SweepSpec) -> dict[str, Path]:
@@ -384,12 +378,14 @@ def run_sweep(spec: SweepSpec) -> dict[str, Path]:
 
 def _gated_integrals(levels, params):
     """Yield (levels, norms, <x^2>s, overlaps), the columns of one integral
-    over u in [-1, 1] of q_ab = psi_a psi_b f_b x^k: its diagonal at k = 0
-    and 2, and the same-parity pairs a < b of the first seven levels at
-    k = 0.  Level i takes x = W_i u on its Gaussian window W_i, and the
-    first seven the widest of theirs, so that their pairs meet at one x.
-    Where it raises, the levels below the top take one integral and the
-    top its own, so the levels and pairs below a failing one are taken."""
+    over u in [-1, 1]: each level's psi**2 f x^k at k = 0 and 2, and for
+    the same-parity pairs a < b of the first seven levels psi_a psi_b times
+    the modified product's pair weight 1 - (k_a + k_b) x**2 / 2, k the
+    nu-consistent weight coefficient, in both density modes.  Level i takes
+    x = W_i u on its Gaussian window W_i, and the first seven the widest of
+    theirs, so that their pairs meet at one x.  Where it raises, the levels
+    below the top take one integral and the top its own, so the levels and
+    pairs below a failing one are taken."""
     if not levels:
         return
     windows = np.array([[gaussian_window(lv.lam, lv.n)] for lv in levels])
@@ -397,12 +393,16 @@ def _gated_integrals(levels, params):
     g = np.array([[weight_coefficient(params, lv)] for lv in levels])
     a, b = np.triu_indices(min(7, len(levels)), 2)
     a, b = a[(b - a) % 2 == 0], b[(b - a) % 2 == 0]
+    consistent = replace(params, density_mode=DensityMode.NU_CONSISTENT)
+    k = np.array([[weight_coefficient(consistent, lv)] for lv in levels[:7]])
+    k = 0.5 * (k[a] + k[b])  # each pair's weight is 1 - k x**2
 
     def integrand(u):
         x = windows * u
         p = psi(levels, params, x)  # one Hermite pass for all levels
         pf = p * (1.0 - g * x * x) * windows  # dx = W_i du
-        return np.concatenate([p * pf, p * pf * x * x, p[a] * pf[b]]).T
+        pairs = p[a] * p[b] * (1.0 - k * x[a] * x[a]) * windows[a]
+        return np.concatenate([p * pf, p * pf * x * x, pairs]).T
 
     try:
         values, _ = integrate(integrand, 1.0, 1e-11)
@@ -417,9 +417,9 @@ def _gated_integrals(levels, params):
 
 def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
     """Oracle suite over the sweep grid; (report lines, all-gates-passed)."""
-    # each gate, and the non-gating orthogonality report, -> [largest error,
-    # levels or pairs taken]; np.maximum keeps a nan, which fails its gate
-    gates = {name: [0.0, 0] for name in [*_GATES, "orthogonality"]}
+    # each gate -> [largest error, levels or pairs taken]; np.maximum keeps
+    # a nan, which fails its gate
+    gates = {name: [0.0, 0] for name in _GATES}
     # CHECK domain and convergence lines; one positivity verdict per gamma > 0
     lines, positivity = [], []
     for gamma in spec.gamma_list:
@@ -450,7 +450,7 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
             found.append(("residual", np.fmax.reduce(err, initial=0.0),
                           np.count_nonzero(~np.isnan(err))))
             # the levels the quadrature gates take, none for gamma > 0: the
-            # first 13 and the top; the REPORT pairs the first seven
+            # first 13 and the top; orthogonality pairs the first seven
             levels = [eigenvalue(params, n) for n in
                       [*range(spec.n_min, min(spec.n_min + 13, spec.n_max)),
                        spec.n_max] if gamma <= 0]
@@ -478,11 +478,7 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
         lines.append(f"CHECK {name}: max_err={err:.3e} tol={tol:.0e} "
                      f"{'PASS' if err < tol else 'FAILED'}" if taken else
                      f"CHECK {name}: SKIPPED (no level checked)")
-    err, taken = gates["orthogonality"]
-    return [*lines, *(positivity or ["CHECK density_positivity: PASS"]),
-            "REPORT orthogonality(modified product): "
-            + (f"max_overlap={err:.3e}" if taken else
-               "SKIPPED (no pair compared)")], ok
+    return [*lines, *(positivity or ["CHECK density_positivity: PASS"])], ok
 
 
 def _parse_grid(text: str) -> tuple:

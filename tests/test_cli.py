@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ from edho.errors import DomainError, NonConvergence
 from edho.information import (cramer_rao, fisher_closed, fisher_numeric,
                               moments)
 from edho.quadrature import gaussian_window, integrate
-from edho.spectrum import _energies, _levels, eigenvalue, residual
+from edho.spectrum import (DensityMode, _energies, _levels, eigenvalue,
+                           residual)
 from edho.thermo import specific_heat_curve
-from edho.wavefunction import density, psi, weight, weight_coefficient
+from edho.wavefunction import density, psi, weight_coefficient
 
 
 FLAG = re.compile(r"--[a-z][a-z-]*")
@@ -53,7 +55,8 @@ class TestRunSweep:
         # eps_sat plus each validate gate, under its CHECK name
         assert manifest["tolerances"] == {
             "eps_sat": 1e-6, "residual": 1e-10, "normalization": 1e-12,
-            "moment_closed_form": 1e-12, "cramer_rao_bound": 1e-10}
+            "moment_closed_form": 1e-12, "cramer_rao_bound": 1e-10,
+            "orthogonality": 1e-12}
         assert manifest["limits"] == {
             "psi_max_n": 680, "i_n_max_n": 10**5, "n_sat_limit": 2**52,
             "thermo_head": 2000}
@@ -446,9 +449,9 @@ class TestDensitySweep:
         return data_lines(out / "density.csv")
 
     def test_couplings_together_write_each_alone(self, tmp_path, capsys):
-        # n = 679, 680 take one call for both levels; past the order limit,
-        # and for gamma = -1e130, where sqrt(lam)/b is 0 and the call
-        # raises, each level is taken alone and keeps its error text
+        # n = 679..682 take one call, which raises past the order limit and
+        # for gamma = -1e130, where sqrt(lam)/b is 0; each level is then
+        # taken alone and keeps its error text
         argv = ["--n-min", "679", "--n-max", "682"]
         together = self.sweep(argv, ["-0.5", "-1e130"], tmp_path / "all")
         alone = [self.sweep(argv, [gamma], tmp_path / gamma)
@@ -466,9 +469,9 @@ class TestDensitySweep:
         # 4096 // 241 = 16 levels per call
         ((), [16, 16, 16, 13] * 2),
         # 4096 // 2000 = 2 levels per call, and level 60 alone
-        (tuple(np.linspace(-6.0, 6.0, 2000)), ([2] * 30 + [None]) * 2),
+        (tuple(np.linspace(-6.0, 6.0, 2000)), ([2] * 30 + [1]) * 2),
         # more than 2048 points: each level alone
-        (tuple(np.linspace(-6.0, 6.0, 2049)), [None] * 122),
+        (tuple(np.linspace(-6.0, 6.0, 2049)), [1] * 122),
     ], ids=["default-grid", "2000-points", "2049-points"])
     def test_levels_take_one_call_per_block(self, grid, calls, tmp_path,
                                             monkeypatch):
@@ -487,8 +490,8 @@ class TestDensitySweep:
 
     def test_memory_is_bounded(self, tmp_path):
         # 2 couplings x 681 levels x 241 points: a call holds one block of
-        # about 4096 values, and the table one block of rows.  The
-        # tracemalloc peak is 0.22 MB (CPython 3.11, NumPy 2.4, x86-64);
+        # about 4096 values, kept until its rows are written.  The
+        # tracemalloc peak is 0.25 MB (CPython 3.11, NumPy 2.4, x86-64);
         # one call for all levels of a coupling takes 8.1 MB, and one call
         # per level 0.10 MB
         spec = SweepSpec(gamma_list=(-0.5, -0.05), n_max=680,
@@ -851,7 +854,7 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert code == 0
         assert "CHECK residual" in out
-        assert "REPORT orthogonality" in out
+        assert "CHECK orthogonality" in out
         assert "FAILED" not in out
 
     def test_validate_flags_positivity_violation(self, tmp_path, capsys):
@@ -1105,11 +1108,11 @@ class TestMainEntry:
         assert lines[0] == "CHECK residual: max_err=4.000e+00 tol=1e-10 FAILED"
 
     def test_validate_overlap_report_takes_range_start(self, monkeypatch):
-        # the REPORT's overlaps are columns of the gates' one integral; the
+        # the gate's overlaps are columns of the gates' one integral; the
         # oracle is one integral per same-parity pair among levels 20..26,
-        # the first seven of the range, of psi psi f on the pair's window
-        # (at nu = 2 these overlaps are about 1e-2, so the wrong levels
-        # would show)
+        # the first seven of the range, of psi psi times the pair weight
+        # 1 - (k_m + k_n) x**2 / 2, k the nu-consistent weight coefficient,
+        # on the pair's window
         yielded = []
 
         def recording(levels, params):
@@ -1124,13 +1127,17 @@ class TestMainEntry:
             spec = SweepSpec(gamma_list=(-0.5,), nu=nu, density_mode=mode,
                              n_min=20, n_max=30)
             params = spec.params(-0.5)
+            consistent = replace(params,
+                                 density_mode=DensityMode.NU_CONSISTENT)
             levels = [eigenvalue(params, n) for n in range(20, 27)]
             oracle = []
             for i, lm in enumerate(levels):
                 for ln in levels[i + 2::2]:
+                    k = (weight_coefficient(consistent, lm)
+                         + weight_coefficient(consistent, ln))
                     value, _ = integrate(
                         lambda x: (psi(lm, params, x) * psi(ln, params, x)
-                                   * weight(params, x, ln)),
+                                   * (1.0 - 0.5 * k * x * x)),
                         gaussian_window(min(lm.lam, ln.lam), ln.n), 1e-10)
                     oracle.append(value)
             lines, ok = run_validation(spec)
@@ -1139,8 +1146,8 @@ class TestMainEntry:
             assert [lv.n for lv in part] == list(range(20, 31))
             assert len(overlaps) == 9
             assert np.all(abs(overlaps - oracle) < 1e-14)
-            assert lines[-1] == ("REPORT orthogonality(modified product): "
-                                 f"max_overlap={max(abs(overlaps)):.3e}")
+            assert (f"CHECK orthogonality: max_err="
+                    f"{max(abs(overlaps)):.3e} tol=1e-12 PASS") in lines
             assert abs(max(abs(overlaps)) - max(map(abs, oracle))) < 1e-14
 
     def test_validate_takes_one_integral_per_coupling(self, monkeypatch):
@@ -1189,8 +1196,8 @@ class TestMainEntry:
         assert shapes == [None, None, None, (22 + 9,), None]
         assert next(line for line in lines if "normalization" in line
                     ).endswith("tol=1e-12 PASS")
-        assert lines[-1].startswith("REPORT orthogonality(modified product): "
-                                    "max_overlap=")
+        assert next(line for line in lines if "orthogonality" in line
+                    ).endswith("tol=1e-12 PASS")
 
     @pytest.mark.parametrize("argv", [
         ["--gamma=0.01", "--permissive", "--n-max", "3"],  # gamma > 0
@@ -1201,9 +1208,23 @@ class TestMainEntry:
                                                              capsys):
         main(["validate", *argv])
         out = capsys.readouterr().out
-        assert out.splitlines()[-1] == (
-            "REPORT orthogonality(modified product): SKIPPED "
-            "(no pair compared)")
+        assert ("CHECK orthogonality: SKIPPED (no level checked)"
+                in out.splitlines())
+
+    @pytest.mark.parametrize("mode", ["paper", "nu-consistent"])
+    @pytest.mark.parametrize("gamma", [-1e-5, -0.5, -1e3])
+    @pytest.mark.parametrize("n_min", [0, 20])
+    def test_validate_orthogonality_gates_nu2(self, mode, gamma, n_min):
+        # at nu = 2 the density weight of either mode is no pair's weight
+        # (the overlaps under it reach 8e-2 at gamma = -0.5); under the pair
+        # weight the nine overlaps stay below 5e-15
+        lines, ok = run_validation(SweepSpec(
+            nu=2, gamma_list=(gamma,), density_mode=mode, n_min=n_min,
+            n_max=n_min + 12))
+        assert ok
+        line = next(line for line in lines if "orthogonality" in line)
+        assert re.fullmatch(r"CHECK orthogonality: max_err=\S+ tol=1e-12 "
+                            "PASS", line)
 
 
 # output -> sweeps whose cells the writer must print exactly as csv.writer
@@ -1215,7 +1236,7 @@ CELL_SWEEPS = {
     # the largest levels: %d prints the level column as %.17g does
     "spectrum-top": dict(gamma_list=(-0.5,), n_min=2**52 - 3,
                          n_max=2**52 - 1),
-    # nu = 2, gamma = 0.1 fails from n = 3 on: the whole-axis cell is
+    # nu = 2, gamma = 0.1 fails from n = 3 on: the whole-axis block is
     # retried per level, which mixes good rows and error rows
     "spectrum-retry": dict(nu=2, gamma_list=(0.1, -0.5), permissive=True,
                            n_max=4),
@@ -1227,7 +1248,7 @@ CELL_SWEEPS = {
     "fisher-error": dict(nu=2, gamma_list=(0.1,), permissive=True, n_max=4),
     "cramer_rao": dict(nu=2, gamma_list=(-0.5, 0.1), permissive=True,
                        n_max=3),
-    # n = 100001 is past the largest order of I_n: the whole-axis cell is
+    # n = 100001 is past the largest order of I_n: the whole-axis block is
     # retried per level, which mixes good rows and error rows.  At
     # gamma = -1e-300 a level that far up takes milliseconds; at gamma = 0,
     # where I_n = 1, no level fails
@@ -1255,8 +1276,9 @@ CELL_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CELL_SWEEPS))
-def test_cell_writer_matches_csv_writer(case, tmp_path, monkeypatch):
+def cell_sweep(case, out, monkeypatch):
+    """(output name, spec) of a CELL_SWEEPS case, with its CELL_FAULTS
+    function made to raise."""
     name = case.split("-")[0]
     if case in CELL_FAULTS:
         function, text = CELL_FAULTS[case]
@@ -1265,12 +1287,17 @@ def test_cell_writer_matches_csv_writer(case, tmp_path, monkeypatch):
             raise ValueError(text)
 
         monkeypatch.setattr(edho.cli, function, raising)
-    spec = SweepSpec(outputs=(name,), out_dir=str(tmp_path),
-                     **CELL_SWEEPS[case])
-    keys, columns, _, whole = edho.cli._OUTPUTS[name]
+    return name, SweepSpec(outputs=(name,), out_dir=str(out),
+                           **CELL_SWEEPS[case])
+
+
+@pytest.mark.parametrize("case", sorted(CELL_SWEEPS))
+def test_cell_writer_matches_csv_writer(case, tmp_path, monkeypatch):
+    name, spec = cell_sweep(case, tmp_path, monkeypatch)
+    keys, columns, *_ = edho.cli._OUTPUTS[name]
     # a later axis reaches the writer as text; the reference takes its values
     # from the spec
-    later = [] if whole else [edho.cli._AXES[k](spec) for k in keys[1:]]
+    later = [edho.cli._AXES[k](spec) for k in keys[1:]]
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["nu", "gamma", *keys, *columns, "error"])
@@ -1297,6 +1324,18 @@ def test_cell_writer_matches_csv_writer(case, tmp_path, monkeypatch):
     if case.endswith("retry") or case in ("perey", "density"):
         rows = read_rows(tmp_path / f"{name}.csv")
         assert {bool(r["error"]) for r in rows} == {False, True}
+
+
+@pytest.mark.parametrize("case", sorted(CELL_SWEEPS))
+def test_blocks_of_one_point_write_the_same_bytes(case, tmp_path,
+                                                  monkeypatch):
+    # _rows alone decides how much of the first axis a compute call takes:
+    # a bound of one value per call, for every output, changes no byte
+    name, spec = cell_sweep(case, tmp_path, monkeypatch)
+    text = run_sweep(spec)[name].read_bytes()
+    monkeypatch.setitem(edho.cli._OUTPUTS, name,
+                        (*edho.cli._OUTPUTS[name][:3], 1))
+    assert run_sweep(spec)[name].read_bytes() == text
 
 
 def test_writer_memory_is_bounded(tmp_path):
