@@ -141,9 +141,9 @@ class SweepSpec:
 
 
 _FMT = "%.17g".__mod__
-# rows per write, so a cell's text is never held whole and a NumPy column
-# is turned into Python floats a chunk at a time; chunks of 2048 rows
-# raised the tables benchmark's peak RSS by 0.01-0.07 MB (three runs)
+# rows per % call and write, so a cell's bytes are never held whole and a
+# NumPy column is turned into Python floats a chunk at a time; chunks of
+# 2048 rows raised the tables benchmark's peak RSS by 0.01-0.07 MB
 _CHUNK = 256
 
 
@@ -151,16 +151,18 @@ def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
     """Write the cells' rows; returns their count and that of the error rows.
 
     A cell is (keys, columns, error): the text of the keys all its rows
-    share, then each column as a sequence of one value per row (strings
-    are written as they are) or one value all rows share (None is a
-    blank).  Each cell becomes one %-template of the keys, shared values
-    and error as text and one slot per sequence: ``%.17g`` prints a number
-    as ``csv.writer`` prints ``format(value, ".17g")``, and ``%d`` a
-    ``range`` of levels (below 2**52, see SweepSpec) with the same bytes.
-    Only an error text may need quoting, once per cell, as csv.writer's."""
+    share, then each column as a sequence of one value per row (bytes are
+    written as they are) or one value all rows share (None is a blank).
+    Each cell becomes one bytes %-template of the keys, shared values and
+    error, encoded once as UTF-8, and one slot per sequence: ``%.17g``
+    prints a number as ``csv.writer`` prints ``format(value, ".17g")``,
+    and ``%d`` a ``range`` of levels (below 2**52, see SweepSpec) with the
+    same bytes.  A chunk of m rows is one call, ``(template * m) % args``,
+    args the chunk's sequences interleaved.  Only an error text may need
+    quoting, once per cell, as csv.writer's."""
     counts = {"rows": 0, "error_rows": 0}
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
 
         def write(keys, columns, error):
             # csv.writer's minimal quoting: in quotes, each quote doubled
@@ -172,19 +174,24 @@ def _write_csv(path: Path, header: list[str], cells) -> dict[str, int]:
             for c in columns:
                 if hasattr(c, "__len__"):
                     seqs.append(c)
-                    parts.append("%s" if isinstance(c[0], str) else
+                    parts.append("%s" if isinstance(c[0], bytes) else
                                  "%d" if isinstance(c, range) else "%.17g")
                 else:
                     parts.append("" if c is None else _FMT(c))
-            template = ",".join([*parts, error.replace("%", "%%")]) + "\r\n"
+            template = (",".join([*parts, error.replace("%", "%%")])
+                        + "\r\n").encode()
             size = len(seqs[0]) if seqs else 1  # one row without a sequence
             counts["rows"] += size
             counts["error_rows"] += size if error else 0
+            width = len(seqs)
             for start in range(0, size, _CHUNK):
-                chunk = [c[start:start + _CHUNK] for c in seqs]
-                rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c
-                             for c in chunk]) if seqs else [()]
-                fh.write("".join(map(template.__mod__, rows)))
+                m = min(_CHUNK, size - start)
+                args = [None] * (m * width)
+                for j, c in enumerate(seqs):
+                    c = c[start:start + m]
+                    args[j::width] = (c.tolist() if isinstance(c, np.ndarray)
+                                      else c)
+                fh.write((template * m) % tuple(args))
 
         # starmap lets go of each cell once it is written, so no cell is
         # held while the next one is computed
@@ -216,8 +223,8 @@ _AXES = {
 # module globals at call time, so anything that rebinds them sees every call.
 
 def _spectrum(spec, params, levels, table):
-    energies = _energies(params, levels)
-    lam = energies / (np.asarray(levels) + 0.5)
+    energies = _energies(params, levels)  # levels: a range, see _rows
+    lam = energies / (np.arange(levels.start, levels.stop) + 0.5)
     return [energies, lam,
             saturation_limit(params) if params.gamma < 0 else None]
 
@@ -310,12 +317,13 @@ def _rows(spec: SweepSpec, name: str):
     of values.  A block that raises is retried one point at a time, so only
     the points that fail become error rows, with blank values.  Without a
     later axis a block is one cell, whose rows share nu and gamma as keys;
-    with one (density's x, formatted once per sweep) each point is a cell
-    keyed by it too, and the later axis is a column.  Each call gives its
-    compute a new table, dropped when the output is done."""
+    with one (density's x, formatted once per sweep as bytes, the only
+    type a bytes %s slot takes) each point is a cell keyed by it too, and
+    the later axis is a column.  Each call gives its compute a new table,
+    dropped when the output is done."""
     keys, columns, compute, bound = _OUTPUTS[name]
     first, *rest = (_AXES[key](spec) for key in keys)
-    rest = [[*map(_FMT, axis)] for axis in rest]
+    rest = [[b"%.17g" % v for v in axis] for axis in rest]
     size = len(first) if bound is None else max(
         1, bound // math.prod(map(len, rest)))
     table = {}
@@ -475,9 +483,11 @@ def run_validation(spec: SweepSpec) -> tuple[list[str], bool]:
         gates[name][0] < tol for name, tol in _GATES.items())
     for name, tol in _GATES.items():
         err, taken = gates[name]
+        # orthogonality takes pairs, the other gates levels
+        unit = "pair compared" if name == "orthogonality" else "level checked"
         lines.append(f"CHECK {name}: max_err={err:.3e} tol={tol:.0e} "
                      f"{'PASS' if err < tol else 'FAILED'}" if taken else
-                     f"CHECK {name}: SKIPPED (no level checked)")
+                     f"CHECK {name}: SKIPPED (no {unit})")
     return [*lines, *(positivity or ["CHECK density_positivity: PASS"])], ok
 
 
