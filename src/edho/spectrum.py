@@ -101,10 +101,7 @@ def _energies(params: ModelParams, ns) -> np.ndarray:
     (n + 1/2) ~ 1.34e154 and the root reads 0; at nu = 2, gamma > 0 a
     level with no real root reads nan.  Neither is also warned by numpy.
     """
-    # np.asarray takes a range one element at a time, about 0.5 ms per
-    # 1e4 levels
-    ns = (np.arange(ns.start, ns.stop, ns.step, dtype=float)
-          if isinstance(ns, range) else np.asarray(ns, dtype=float))
+    ns = np.asarray(ns, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         energies = _formula(params, ns)
     # min and max rather than a mask: no temporaries on a large level set

@@ -1297,7 +1297,7 @@ def cell_sweep(case, out, monkeypatch):
 def test_cell_writer_matches_csv_writer(case, tmp_path, monkeypatch):
     name, spec = cell_sweep(case, tmp_path, monkeypatch)
     keys, columns, *_ = edho.cli._OUTPUTS[name]
-    # a later axis reaches the writer as text; the reference takes its values
+    # a later axis reaches the writer as bytes; the reference takes its values
     # from the spec
     later = [edho.cli._AXES[k](spec) for k in keys[1:]]
     expected = io.StringIO(newline="")
